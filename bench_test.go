@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/hcilab/distscroll/internal/core"
+	"github.com/hcilab/distscroll/internal/display"
 	"github.com/hcilab/distscroll/internal/experiments"
 	"github.com/hcilab/distscroll/internal/firmware"
 	"github.com/hcilab/distscroll/internal/fleet"
@@ -157,6 +158,43 @@ func BenchmarkA4FirmwareLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := fw.Step(time.Duration(i) * 40 * time.Millisecond); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkA4DisplayRedraw measures one full top-panel redraw as the
+// firmware's drawTop issues it: the allocation-free WindowIs check, the
+// window, then a clear and five set-line commands built in one reused buffer
+// and written over the I2C bus into the BT96040 model. The cursor moves every
+// iteration, so every check fails and every redraw runs.
+func BenchmarkA4DisplayRedraw(b *testing.B) {
+	board, err := smartits.Assemble(smartits.DefaultConfig(), sim.NewRand(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := menu.New(menu.FlatMenu(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var last []string
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MoveTo(i % m.Len())
+		if m.WindowIs(display.TextLines, last) {
+			b.Fatal("window did not change")
+		}
+		last = m.Window(display.TextLines)
+		buf = append(buf[:0], display.CmdClear)
+		if err := board.Bus.Write(smartits.AddrTopDisplay, buf); err != nil {
+			b.Fatal(err)
+		}
+		for row, line := range last {
+			buf = append(append(buf[:0], display.CmdSetLine, byte(row)), line...)
+			if err := board.Bus.Write(smartits.AddrTopDisplay, buf); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

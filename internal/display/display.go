@@ -7,6 +7,7 @@ package display
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -46,8 +47,12 @@ var (
 )
 
 // Display is one BT96040 panel. It implements i2c.Slave.
+//
+// The framebuffer is bit-packed, 320 B per panel: row y is two words, and
+// pixel x is bit x&63 of word x>>6 (word 1 uses its low 32 bits), so a text
+// band is rasterised as eight row stores.
 type Display struct {
-	pixels   [HeightPx][WidthPx]bool
+	pixels   [HeightPx][2]uint64
 	lines    [TextLines]string
 	contrast byte
 	inverted bool
@@ -73,7 +78,19 @@ func (d *Display) WriteBytes(data []byte) error {
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: set-line needs a row", ErrShortCommand)
 		}
-		return d.SetLine(int(rest[0]), string(rest[1:]))
+		row, text := int(rest[0]), rest[1:]
+		if len(text) > TextCols {
+			text = text[:TextCols]
+		}
+		// Keep the stored string when the text is unchanged: the firmware
+		// rewrites every debug-panel line each period, most of them equal.
+		line := d.Line(row)
+		if string(text) != line {
+			line = string(text)
+		}
+		if err := d.SetLine(row, line); err != nil {
+			return err
+		}
 	case CmdContrast:
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: contrast needs a level", ErrShortCommand)
@@ -88,7 +105,9 @@ func (d *Display) WriteBytes(data []byte) error {
 		if len(rest) < 3 {
 			return fmt.Errorf("%w: set-pixel needs x,y,v", ErrShortCommand)
 		}
-		return d.SetPixel(int(rest[0]), int(rest[1]), rest[2] != 0)
+		if err := d.SetPixel(int(rest[0]), int(rest[1]), rest[2] != 0); err != nil {
+			return err
+		}
 	case CmdStatus:
 		d.readSel = CmdStatus
 	default:
@@ -113,12 +132,13 @@ func (d *Display) ReadBytes(n int) ([]byte, error) {
 
 // Clear blanks the framebuffer and all text lines.
 func (d *Display) Clear() {
-	d.pixels = [HeightPx][WidthPx]bool{}
+	d.pixels = [HeightPx][2]uint64{}
 	d.lines = [TextLines]string{}
 }
 
 // SetLine writes a text row (truncated to the panel width) and rasterises
-// it into the framebuffer with a 6×8 block font.
+// it into the framebuffer with a 6×8 block font. An unchanged row is still
+// rasterised: SetPixel may have drawn over its band.
 func (d *Display) SetLine(row int, text string) error {
 	if row < 0 || row >= TextLines {
 		return fmt.Errorf("%w: row %d", ErrBounds, row)
@@ -161,8 +181,9 @@ func (d *Display) Contrast() byte { return d.contrast }
 // Inverted reports whether the panel is inverted.
 func (d *Display) Inverted() bool { return d.inverted }
 
-// Frames reports the number of completed update transactions; tests use it
-// to assert that the firmware only redraws on change.
+// Frames reports the number of completed update transactions (every
+// WriteBytes that succeeded); tests use it to assert that the firmware only
+// redraws on change.
 func (d *Display) Frames() uint64 { return d.frames }
 
 // SetPixel sets one framebuffer pixel.
@@ -170,7 +191,11 @@ func (d *Display) SetPixel(x, y int, on bool) error {
 	if x < 0 || x >= WidthPx || y < 0 || y >= HeightPx {
 		return fmt.Errorf("%w: (%d,%d)", ErrBounds, x, y)
 	}
-	d.pixels[y][x] = on
+	if on {
+		d.pixels[y][x>>6] |= 1 << (x & 63)
+	} else {
+		d.pixels[y][x>>6] &^= 1 << (x & 63)
+	}
 	return nil
 }
 
@@ -179,18 +204,14 @@ func (d *Display) Pixel(x, y int) bool {
 	if x < 0 || x >= WidthPx || y < 0 || y >= HeightPx {
 		return false
 	}
-	return d.pixels[y][x]
+	return d.pixels[y][x>>6]&(1<<(x&63)) != 0
 }
 
 // LitPixels counts lit pixels; a cheap proxy for render coverage in tests.
 func (d *Display) LitPixels() int {
 	n := 0
-	for y := 0; y < HeightPx; y++ {
-		for x := 0; x < WidthPx; x++ {
-			if d.pixels[y][x] {
-				n++
-			}
-		}
+	for _, row := range d.pixels {
+		n += bits.OnesCount64(row[0]) + bits.OnesCount64(row[1])
 	}
 	return n
 }
@@ -207,31 +228,37 @@ func (d *Display) Render() string {
 	return b.String()
 }
 
-// rasterizeLine draws the row's text into the framebuffer. The font is a
-// simplified block font: any non-space character lights the glyph cell
-// interior, which is enough for coverage-style assertions.
-func (d *Display) rasterizeLine(row int) {
-	top := row * GlyphH
-	// Clear the band first.
-	for y := top; y < top+GlyphH && y < HeightPx; y++ {
-		for x := 0; x < WidthPx; x++ {
-			d.pixels[y][x] = false
+// glyphMask[col] is the pixel-row mask of text column col: the glyph cell
+// interior, x = col·GlyphW+1 … col·GlyphW+GlyphW-2.
+var glyphMask = func() (m [TextCols][2]uint64) {
+	for col := range m {
+		for dx := 1; dx < GlyphW-1; dx++ {
+			x := col*GlyphW + dx
+			m[col][x>>6] |= 1 << (x & 63)
 		}
 	}
+	return m
+}()
+
+// rasterizeLine draws the row's text into the framebuffer. The font is a
+// simplified block font: any non-space character lights the glyph cell
+// interior, which is enough for coverage-style assertions. A rune lights
+// the cell at its byte offset, so a multi-byte rune lights one cell.
+func (d *Display) rasterizeLine(row int) {
+	var mask [2]uint64
 	for col, ch := range d.lines[row] {
 		if ch == ' ' || col >= TextCols {
 			continue
 		}
-		left := col * GlyphW
-		for dy := 1; dy < GlyphH-1; dy++ {
-			for dx := 1; dx < GlyphW-1; dx++ {
-				y, x := top+dy, left+dx
-				if y < HeightPx && x < WidthPx {
-					d.pixels[y][x] = true
-				}
-			}
-		}
+		mask[0] |= glyphMask[col][0]
+		mask[1] |= glyphMask[col][1]
 	}
+	band := d.pixels[row*GlyphH : (row+1)*GlyphH]
+	band[0] = [2]uint64{}
+	for dy := 1; dy < GlyphH-1; dy++ {
+		band[dy] = mask
+	}
+	band[GlyphH-1] = [2]uint64{}
 }
 
 func boolByte(b bool) byte {

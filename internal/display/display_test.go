@@ -170,12 +170,53 @@ func TestContrastClamp(t *testing.T) {
 
 func TestFramesCounter(t *testing.T) {
 	d := New()
-	before := d.Frames()
-	if err := d.WriteBytes([]byte{CmdClear}); err != nil {
+	ok := [][]byte{
+		{CmdClear},
+		append([]byte{CmdSetLine, 0}, "Inbox"...),
+		{CmdSetPixel, 3, 4, 1},
+		{CmdContrast, 40},
+		{CmdInvert, 0},
+		{CmdStatus},
+	}
+	for i, cmd := range ok {
+		if err := d.WriteBytes(cmd); err != nil {
+			t.Fatalf("%x: %v", cmd, err)
+		}
+		if got := d.Frames(); got != uint64(i+1) {
+			t.Fatalf("after %x: frames = %d, want %d", cmd, got, i+1)
+		}
+	}
+	rejected := [][]byte{
+		nil,
+		{0xEE},
+		{CmdSetLine},
+		{CmdSetLine, TextLines, 'x'},
+		{CmdSetPixel, 1, 2},
+		{CmdSetPixel, WidthPx, 0, 1},
+	}
+	for _, cmd := range rejected {
+		if err := d.WriteBytes(cmd); err == nil {
+			t.Fatalf("%x: accepted", cmd)
+		}
+	}
+	if got := d.Frames(); got != uint64(len(ok)) {
+		t.Fatalf("rejected writes counted: frames = %d, want %d", got, len(ok))
+	}
+}
+
+func TestDisplaySetLineUnchangedZeroAlloc(t *testing.T) {
+	d := New()
+	cmd := append([]byte{CmdSetLine, 2}, "> Messages"...)
+	if err := d.WriteBytes(cmd); err != nil {
 		t.Fatal(err)
 	}
-	if d.Frames() != before+1 {
-		t.Fatal("frame counter did not advance")
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.WriteBytes(cmd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rewriting an unchanged line allocates %.1f times", allocs)
 	}
 }
 

@@ -160,6 +160,10 @@ type Firmware struct {
 	// profile. Transports must not retain the payload past Send/SendTagged
 	// (see rf.Transport); the ARQ layer copies what it queues.
 	txBuf []byte
+	// i2cBuf is the reusable command scratch for display writes: the debug
+	// panel redraws five lines every DebugPeriod for the whole run. The
+	// display copies what it keeps (i2c.Slave must not retain the payload).
+	i2cBuf []byte
 }
 
 // New builds firmware bound to a board, a menu and a transmitter. tx may be
@@ -445,19 +449,20 @@ func (fw *Firmware) handleBack(now time.Duration) error {
 // A bus error degrades the UI (stale display) instead of halting the
 // firmware; the write is retried on the next cycle.
 func (fw *Firmware) drawTop() error {
-	win := fw.menu.Window(display.TextLines)
-	if equalLines(win, fw.lastTopWin) {
+	if fw.menu.WindowIs(display.TextLines, fw.lastTopWin) {
 		return nil
 	}
+	win := fw.menu.Window(display.TextLines)
 	fw.stats.displayWrites.Add(1)
-	if err := fw.board.Bus.Write(smartits.AddrTopDisplay, []byte{display.CmdClear}); err != nil {
+	fw.i2cBuf = append(fw.i2cBuf[:0], display.CmdClear)
+	if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.i2cBuf); err != nil {
 		fw.health.displayErrs++
 		fw.lastTopWin = nil
 		return nil
 	}
 	for i, line := range win {
-		cmd := append([]byte{display.CmdSetLine, byte(i)}, line...)
-		if err := fw.board.Bus.Write(smartits.AddrTopDisplay, cmd); err != nil {
+		fw.i2cBuf = append(append(fw.i2cBuf[:0], display.CmdSetLine, byte(i)), line...)
+		if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.i2cBuf); err != nil {
 			fw.health.displayErrs++
 			fw.lastTopWin = nil
 			return nil
@@ -478,32 +483,10 @@ func (fw *Firmware) drawDebug(v float64, island int, now time.Duration) error {
 	fw.stats.adcReads.Add(1)
 	batt := fw.board.ADC.Voltage(battCode) * 2 // undo divider
 	fw.updateBattery(batt)
-	statusLine := "bat=" + strconv.FormatFloat(batt, 'f', 1, 64) + "V"
-	switch {
-	case fw.health.signal == SignalFault:
-		statusLine = SignalFault.String()
-	case fw.health.lowBattery:
-		statusLine = "LOW BAT " + strconv.FormatFloat(batt, 'f', 1, 64) + "V"
-	case fw.ctx.detector != nil:
-		statusLine = fw.Context().String()
-	}
-	isleLine := "isle=" + strconv.Itoa(island)
-	if fw.health.signal == SignalOutOfRange {
-		// "no measurement can be made" — keep it within the 16-column
-		// panel width.
-		isleLine = "isle=no-meas"
-	}
-	lines := []string{
-		"DistScroll dbg",
-		"V=" + strconv.FormatFloat(v, 'f', 3, 64),
-		isleLine,
-		"lvl=" + strconv.Itoa(fw.menu.Depth()) + " cur=" + strconv.Itoa(fw.menu.Cursor()),
-		statusLine,
-	}
 	fw.stats.displayWrites.Add(1)
-	for i, line := range lines {
-		cmd := append([]byte{display.CmdSetLine, byte(i)}, line...)
-		if err := fw.board.Bus.Write(smartits.AddrBottomDisplay, cmd); err != nil {
+	for i := 0; i < display.TextLines; i++ {
+		fw.i2cBuf = fw.appendDebugLine(append(fw.i2cBuf[:0], display.CmdSetLine, byte(i)), i, v, island, batt)
+		if err := fw.board.Bus.Write(smartits.AddrBottomDisplay, fw.i2cBuf); err != nil {
 			fw.health.displayErrs++
 			break
 		}
@@ -518,6 +501,37 @@ func (fw *Firmware) drawDebug(v float64, island int, now time.Duration) error {
 		Context:   fw.contextByte(),
 	}, now)
 	return nil
+}
+
+// appendDebugLine appends row i of the debug panel to b: a banner, the
+// filtered voltage, the island index, menu depth and cursor, and a status
+// line (signal fault, low battery, the sensed context or the battery level).
+func (fw *Firmware) appendDebugLine(b []byte, i int, v float64, island int, batt float64) []byte {
+	switch i {
+	case 0:
+		return append(b, "DistScroll dbg"...)
+	case 1:
+		return strconv.AppendFloat(append(b, "V="...), v, 'f', 3, 64)
+	case 2:
+		if fw.health.signal == SignalOutOfRange {
+			// "no measurement can be made" — keep it within the 16-column
+			// panel width.
+			return append(b, "isle=no-meas"...)
+		}
+		return strconv.AppendInt(append(b, "isle="...), int64(island), 10)
+	case 3:
+		b = strconv.AppendInt(append(b, "lvl="...), int64(fw.menu.Depth()), 10)
+		return strconv.AppendInt(append(b, " cur="...), int64(fw.menu.Cursor()), 10)
+	}
+	switch {
+	case fw.health.signal == SignalFault:
+		return append(b, SignalFault.String()...)
+	case fw.health.lowBattery:
+		return append(strconv.AppendFloat(append(b, "LOW BAT "...), batt, 'f', 1, 64), 'V')
+	case fw.ctx.detector != nil:
+		return append(b, fw.Context().String()...)
+	}
+	return append(strconv.AppendFloat(append(b, "bat="...), batt, 'f', 1, 64), 'V')
 }
 
 func (fw *Firmware) send(m rf.Message, now time.Duration) {
@@ -546,16 +560,4 @@ func (fw *Firmware) send(m rf.Message, now time.Duration) {
 		return
 	}
 	fw.stats.framesSent.Add(1)
-}
-
-func equalLines(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,6 +137,64 @@ func TestSignalStateStrings(t *testing.T) {
 	for _, s := range []SignalState{SignalOK, SignalOutOfRange, SignalFault} {
 		if s.String() == "" {
 			t.Fatalf("state %d has empty name", s)
+		}
+	}
+}
+
+// refDebugLines is the debug panel as string concatenation formats it; the
+// firmware appends the same text straight into its I2C command buffer.
+func refDebugLines(fw *Firmware, v float64, island int, batt float64) []string {
+	statusLine := "bat=" + strconv.FormatFloat(batt, 'f', 1, 64) + "V"
+	switch {
+	case fw.health.signal == SignalFault:
+		statusLine = SignalFault.String()
+	case fw.health.lowBattery:
+		statusLine = "LOW BAT " + strconv.FormatFloat(batt, 'f', 1, 64) + "V"
+	case fw.ctx.detector != nil:
+		statusLine = fw.Context().String()
+	}
+	isleLine := "isle=" + strconv.Itoa(island)
+	if fw.health.signal == SignalOutOfRange {
+		isleLine = "isle=no-meas"
+	}
+	return []string{
+		"DistScroll dbg",
+		"V=" + strconv.FormatFloat(v, 'f', 3, 64),
+		isleLine,
+		"lvl=" + strconv.Itoa(fw.menu.Depth()) + " cur=" + strconv.Itoa(fw.menu.Cursor()),
+		statusLine,
+	}
+}
+
+func TestDebugLinesMatchReference(t *testing.T) {
+	plain := newRig(t, menu.PhoneMenu(), DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.ContextSensing = true
+	sensing := newRig(t, menu.PhoneMenu(), cfg)
+	for _, r := range []*rig{plain, sensing} {
+		r.steps(t, 3)
+		if err := r.menu.Enter(); err != nil {
+			t.Fatal(err)
+		}
+		r.menu.MoveTo(2)
+		for _, sig := range []SignalState{SignalOK, SignalOutOfRange, SignalFault} {
+			for _, low := range []bool{false, true} {
+				r.fw.health.signal, r.fw.health.lowBattery = sig, low
+				for _, v := range []float64{0, 0.0004, 1.23456, 2.9995, -0.5} {
+					for _, island := range []int{-1, 0, 17} {
+						for _, batt := range []float64{9, 6.04, 5.95} {
+							want := refDebugLines(r.fw, v, island, batt)
+							for i, line := range want {
+								got := string(r.fw.appendDebugLine([]byte("pre"), i, v, island, batt))
+								if got != "pre"+line {
+									t.Fatalf("signal %v low %v v %v island %d batt %v row %d: %q, want %q",
+										sig, low, v, island, batt, i, got, "pre"+line)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -45,12 +45,19 @@ type Stats struct {
 	PerSlaveOps map[byte]uint64
 }
 
+// maxAddr bounds the 7-bit addresses Attach accepts (0x08..0x77).
+const maxAddr = 0x77
+
 // Bus is a single-master I2C bus.
 type Bus struct {
 	slaves map[byte]Slave
 	// clockHz is the bus clock; standard mode is 100 kHz.
 	clockHz int
-	stats   Stats
+	// stats carries every counter but PerSlaveOps, which Stats builds from
+	// perSlave: a transaction only ever reaches an attached address, so a
+	// fixed array replaces a map update per transaction.
+	stats    Stats
+	perSlave [maxAddr + 1]uint64
 }
 
 // NewBus returns a bus running at the given clock rate (Hz). A rate <= 0
@@ -67,7 +74,7 @@ func NewBus(clockHz int) *Bus {
 
 // Attach registers a slave at a 7-bit address.
 func (b *Bus) Attach(addr byte, s Slave) error {
-	if addr > 0x77 || addr < 0x08 {
+	if addr > maxAddr || addr < 0x08 {
 		return fmt.Errorf("%w: %#x", ErrInvalidAddress, addr)
 	}
 	if _, ok := b.slaves[addr]; ok {
@@ -123,9 +130,11 @@ func (b *Bus) Probe(addr byte) bool {
 // Stats returns a copy of the accumulated bus statistics.
 func (b *Bus) Stats() Stats {
 	cp := b.stats
-	cp.PerSlaveOps = make(map[byte]uint64, len(b.stats.PerSlaveOps))
-	for k, v := range b.stats.PerSlaveOps {
-		cp.PerSlaveOps[k] = v
+	cp.PerSlaveOps = make(map[byte]uint64)
+	for addr, ops := range b.perSlave {
+		if ops != 0 {
+			cp.PerSlaveOps[byte(addr)] = ops
+		}
 	}
 	return cp
 }
@@ -137,8 +146,5 @@ func (b *Bus) account(addr byte, payload int) {
 	b.stats.Bytes += bytes
 	cycles := bytes * 9
 	b.stats.BusTime += time.Duration(float64(cycles) / float64(b.clockHz) * float64(time.Second))
-	if b.stats.PerSlaveOps == nil {
-		b.stats.PerSlaveOps = make(map[byte]uint64)
-	}
-	b.stats.PerSlaveOps[addr]++
+	b.perSlave[addr]++
 }

@@ -3,6 +3,7 @@ package i2c
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 type echoSlave struct {
@@ -149,5 +150,50 @@ func TestStatsAccounting(t *testing.T) {
 	st.PerSlaveOps[0x3C] = 99
 	if b.Stats().PerSlaveOps[0x3C] == 99 {
 		t.Fatal("Stats returned internal map")
+	}
+}
+
+// TestStatsPinned pins every counter after a mixed sequence of writes,
+// reads, NACKs and slave errors on two slaves. BusTime is summed per
+// transaction in float64 and truncated to a Duration; the expected value is
+// that exact arithmetic, not a rounded total.
+func TestStatsPinned(t *testing.T) {
+	b := NewBus(70_000)
+	if err := b.Attach(0x3C, &echoSlave{reply: []byte{1, 2, 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Attach(0x3D, &echoSlave{fail: errors.New("busy")}); err != nil {
+		t.Fatal(err)
+	}
+	_ = b.Write(0x3C, []byte{2, 0, 'h', 'i'})
+	_, _ = b.Read(0x3C, 3)
+	_ = b.Write(0x3D, []byte{1})
+	_ = b.Write(0x50, []byte{1, 2})
+	_, _ = b.Read(0x3D, 4)
+	_, _ = b.Read(0x51, 1)
+	_ = b.Write(0x3C, make([]byte, 18))
+	got := b.Stats()
+	want := Stats{
+		Writes:      3,
+		Reads:       2,
+		Bytes:       5 + 4 + 2 + 5 + 19,
+		Nacks:       2,
+		BusTime:     4_499_998 * time.Nanosecond, // 4.5 ms summed as five truncated terms
+		PerSlaveOps: map[byte]uint64{0x3C: 3, 0x3D: 2},
+	}
+	if got.Writes != want.Writes || got.Reads != want.Reads || got.Bytes != want.Bytes ||
+		got.Nacks != want.Nacks || got.BusTime != want.BusTime {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+	if len(got.PerSlaveOps) != len(want.PerSlaveOps) {
+		t.Fatalf("per-slave ops = %v, want %v", got.PerSlaveOps, want.PerSlaveOps)
+	}
+	for addr, n := range want.PerSlaveOps {
+		if got.PerSlaveOps[addr] != n {
+			t.Fatalf("per-slave ops = %v, want %v", got.PerSlaveOps, want.PerSlaveOps)
+		}
+	}
+	if fresh := NewBus(0).Stats(); fresh.PerSlaveOps == nil || len(fresh.PerSlaveOps) != 0 {
+		t.Fatalf("fresh bus per-slave ops = %#v, want an empty map", fresh.PerSlaveOps)
 	}
 }

@@ -193,28 +193,56 @@ func (m *Menu) ResetToRoot() {
 	m.cursor = 0
 }
 
-// Window returns lines rows of the current level centred on the cursor,
-// with the selected row prefixed by "> " and others by "  ". This is what
-// the firmware writes to the top display.
-func (m *Menu) Window(lines int) []string {
+// windowSpan returns the entry range [start, end) that a lines-row window
+// centred on the cursor shows.
+func (m *Menu) windowSpan(lines int) (start, end int) {
 	if lines <= 0 {
 		lines = 1
 	}
 	n := m.Len()
-	start := m.cursor - lines/2
+	start = m.cursor - lines/2
 	if start > n-lines {
 		start = n - lines
 	}
 	if start < 0 {
 		start = 0
 	}
-	out := make([]string, 0, lines)
-	for i := start; i < start+lines && i < n; i++ {
-		prefix := "  "
-		if i == m.cursor {
-			prefix = "> "
-		}
-		out = append(out, prefix+m.level.Children[i].Title)
+	return start, min(start+lines, n)
+}
+
+// rowPrefix is the marker in front of entry i of the window.
+func (m *Menu) rowPrefix(i int) string {
+	if i == m.cursor {
+		return "> "
+	}
+	return "  "
+}
+
+// Window returns lines rows of the current level centred on the cursor,
+// with the selected row prefixed by "> " and others by "  ". This is what
+// the firmware writes to the top display.
+func (m *Menu) Window(lines int) []string {
+	start, end := m.windowSpan(lines)
+	out := make([]string, 0, end-start)
+	for i := start; i < end; i++ {
+		out = append(out, m.rowPrefix(i)+m.level.Children[i].Title)
 	}
 	return out
+}
+
+// WindowIs reports whether Window(lines) would equal prev, without building
+// the window. Titles are exported and may change under the menu, so every
+// call compares them afresh; it never allocates.
+func (m *Menu) WindowIs(lines int, prev []string) bool {
+	start, end := m.windowSpan(lines)
+	if len(prev) != end-start {
+		return false
+	}
+	for i := start; i < end; i++ {
+		prefix, title, row := m.rowPrefix(i), m.level.Children[i].Title, prev[i-start]
+		if len(row) != len(prefix)+len(title) || row[:len(prefix)] != prefix || row[len(prefix):] != title {
+			return false
+		}
+	}
+	return true
 }

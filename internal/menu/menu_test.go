@@ -2,6 +2,9 @@ package menu
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -244,5 +247,77 @@ func TestFixtures(t *testing.T) {
 	}
 	if got := len(FlatMenu(37).Children); got != 37 {
 		t.Errorf("flat menu size %d", got)
+	}
+}
+
+// TestWindowIsMatchesWindow checks WindowIs against the definition it
+// replaces, slices.Equal(Window(n), prev), while the menu is navigated and
+// edited under it: cursor moves, descents and ascents, retitled entries,
+// added children and levels shorter than the window. The prev candidates
+// are the windows the firmware would hold (older windows, nil) and
+// near-misses of the current one.
+func TestWindowIsMatchesWindow(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewPCG(seed, 5))
+		root := PhoneMenu()
+		root.AddChild(NewNode("Short", Leaf("one"), Leaf("two")))
+		m, err := New(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held [][]string
+		for op := 0; op < 300; op++ {
+			switch k := r.IntN(10); {
+			case k < 4:
+				m.MoveTo(r.IntN(m.Len()+2) - 1)
+			case k < 5:
+				_ = m.Enter()
+			case k < 6:
+				_ = m.Back()
+			case k < 8:
+				e := m.Entries()[r.IntN(m.Len())]
+				e.Title = []string{"", "x", "> x", "  ", e.Title + "!", "Messages"}[r.IntN(6)]
+			default:
+				m.Level().AddChild(Leaf(fmt.Sprintf("new %d", op)))
+			}
+			for _, n := range []int{-1, 0, 1, 2, 5, 9} {
+				win := m.Window(n)
+				cands := append([][]string{nil, {}, win, win[:len(win)-1]}, held...)
+				for i := range win {
+					c := slices.Clone(win)
+					c[i] += " "
+					cands = append(cands, c)
+					c = slices.Clone(win)
+					c[i] = strings.Replace(c[i], ">", " ", 1)
+					cands = append(cands, c)
+				}
+				for _, prev := range cands {
+					if got, want := m.WindowIs(n, prev), slices.Equal(win, prev); got != want {
+						t.Fatalf("seed %d op %d: WindowIs(%d, %q) = %v, Window = %q", seed, op, n, prev, got, win)
+					}
+				}
+			}
+			held = append(held, m.Window(5))
+			if len(held) > 4 {
+				held = held[1:]
+			}
+		}
+	}
+}
+
+func TestWindowIsZeroAlloc(t *testing.T) {
+	m, err := New(PhoneMenu())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MoveTo(2)
+	win := m.Window(5)
+	allocs := testing.AllocsPerRun(100, func() {
+		if !m.WindowIs(5, win) {
+			t.Fatal("window changed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WindowIs allocates %.1f times", allocs)
 	}
 }
