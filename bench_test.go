@@ -264,8 +264,7 @@ func BenchmarkHubDemux(b *testing.B) {
 // registry attached: every frame additionally lands in a per-device
 // end-to-end latency histogram. Compare the two to see the observability
 // tax on the hot path; the design budget is <10% (run both with
-// `go test -bench 'HubDemux' .`, or `distscroll-bench -bench-csv` for a
-// machine-readable comparison).
+// `go test -bench 'HubDemux' .`).
 func BenchmarkHubDemuxInstrumented(b *testing.B) {
 	const devices = 64
 	reg := telemetry.New()
@@ -500,9 +499,8 @@ func BenchmarkHubnetIngest(b *testing.B) {
 // socket) pushed into a 4-shard gateway, with the ring pipeline off
 // (direct synchronous consume, the PR-8 shape) and on (batched hand-off to
 // single-writer shard workers). Reported per frame across all conns;
-// steady state must stay allocation-free in both modes. The committed
-// BENCH_6.json curve extends this grid with a live PR-8 replica baseline —
-// `distscroll-bench -saturate` regenerates it.
+// steady state must stay allocation-free in both modes. End-to-end ingest
+// over real TCP is measured by the perfbench ingest-tcp workload.
 func BenchmarkHubnetSaturate(b *testing.B) {
 	const devices, rounds, shards = 64, 8, 4
 	for _, pipelined := range []bool{false, true} {
@@ -615,7 +613,8 @@ func benchEventScheduler(b *testing.B, s sim.EventScheduler) {
 // BenchmarkFleetScale runs the struct-of-arrays scale path — 10k packed
 // devices, one virtual second each, striped across GOMAXPROCS timing
 // wheels — and reports the real-time factor. This is the devices-vs-
-// throughput figure of merit behind BENCH_5.json at benchmark cadence.
+// throughput figure of merit of the scale path at benchmark cadence; the
+// perfbench scale workload measures it end to end.
 func BenchmarkFleetScale(b *testing.B) {
 	var factor float64
 	for i := 0; i < b.N; i++ {

@@ -4,17 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"testing"
-	"time"
 
-	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/hand"
 	"github.com/hcilab/distscroll/internal/participant"
-	"github.com/hcilab/distscroll/internal/rf"
 	"github.com/hcilab/distscroll/internal/sim"
 	"github.com/hcilab/distscroll/internal/study"
 	"github.com/hcilab/distscroll/internal/technique"
-	"github.com/hcilab/distscroll/internal/telemetry"
 )
 
 // writeCSVs exports the raw data behind the E2 user study (per-trial) and
@@ -89,53 +84,4 @@ func writeConditions(path string, seed uint64) error {
 		}
 	}
 	return study.WriteConditionsCSV(f, results)
-}
-
-// benchHubDemux measures the hub's frame-decode-and-route hot path over a
-// 64-device round-robin, with or without a telemetry registry attached —
-// the same workload as the repository's BenchmarkHubDemux.
-func benchHubDemux(reg *telemetry.Registry) testing.BenchmarkResult {
-	const devices = 64
-	frames := make([][]byte, devices)
-	for i := range frames {
-		m := rf.Message{
-			Device: uint32(i + 1), Kind: rf.MsgScroll,
-			Seq: 1, AtMillis: 40, Index: int16(i % 10),
-		}
-		payload, err := m.MarshalBinary()
-		if err != nil {
-			panic(err)
-		}
-		frames[i] = payload
-	}
-	return testing.Benchmark(func(b *testing.B) {
-		hub := core.NewHubWithMetrics(false, reg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hub.Handle(frames[i%devices], time.Duration(i)*time.Millisecond)
-		}
-	})
-}
-
-// writeBenchCSV benchmarks the hub demux path plain and instrumented and
-// records both, plus the relative overhead, as CSV. The telemetry design
-// budget is <10% on this path.
-func writeBenchCSV(path string) error {
-	plain := benchHubDemux(nil)
-	instrumented := benchHubDemux(telemetry.New())
-	p := float64(plain.NsPerOp())
-	i := float64(instrumented.NsPerOp())
-	overhead := 0.0
-	if p > 0 {
-		overhead = (i - p) / p * 100
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("bench csv: %w", err)
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "benchmark,iterations,ns_per_op,overhead_pct")
-	fmt.Fprintf(f, "HubDemux,%d,%.2f,\n", plain.N, p)
-	fmt.Fprintf(f, "HubDemuxInstrumented,%d,%.2f,%.2f\n", instrumented.N, i, overhead)
-	return nil
 }

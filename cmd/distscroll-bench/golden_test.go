@@ -48,7 +48,7 @@ func TestGoldenReportSeed1(t *testing.T) {
 }
 
 // TestGoldenHelpOutput pins the -h flag listing against testdata/help.txt,
-// so every new flag (e.g. the -devices/-scale/-scale-json scale harness) is
+// so every new flag (e.g. the -devices/-scale scale sweep) is
 // a deliberate, reviewed addition to the CLI surface. Refresh with:
 //
 //	go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update
@@ -59,8 +59,8 @@ func TestGoldenHelpOutput(t *testing.T) {
 	if err := run([]string{"-h"}, &out); err != nil {
 		t.Fatalf("-h errored: %v", err)
 	}
-	for _, flagName := range []string{"-devices", "-scale", "-scale-json", "-scale-duration",
-		"-saturate", "-saturate-json", "-conns", "-ingest-pipeline", "-ring-slots", "-ring-batch", "-ring-policy"} {
+	for _, flagName := range []string{"-devices", "-scale", "-scale-duration",
+		"-saturate", "-conns", "-saturate-duration", "-ingest-pipeline", "-ring-slots", "-ring-batch", "-ring-policy"} {
 		if !bytes.Contains(out.Bytes(), []byte(flagName)) {
 			t.Fatalf("help output missing %s:\n%s", flagName, out.String())
 		}

@@ -129,7 +129,6 @@ func TestHistoryFlagValidation(t *testing.T) {
 		{[]string{"-devices", "100", "-history-interval", "-1s"}, "-history-interval must be positive"},
 		{[]string{"-history-out", "x.json"}, "require a live run"},
 		{[]string{"-history-windows", "16", "-run", "F3"}, "require a live run"},
-		{[]string{"-scale-json", "x.json", "-history-out", "y.json"}, "-scale-json is the batch baseline writer"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -12,12 +12,15 @@
 //	distscroll-bench -fleet 64 -metrics              # + Prometheus dump
 //	distscroll-bench -fleet 64 -metrics-out rep.json # + JSON telemetry
 //	distscroll-bench -fleet 64 -reliable -loss 0.05  # ARQ on a 5%-loss link
-//	distscroll-bench -bench-csv bench.csv            # demux overhead CSV
-//	distscroll-bench -bench-json BENCH_4.json        # perf baseline, old vs new hub
 //	distscroll-bench -devices 100000 -ops-listen 127.0.0.1:9100  # live /metrics
 //	distscroll-bench -devices 100000 -slo-stall 10s  # watchdog on the scale run
 //	distscroll-bench -devices 100000 -ops-listen 127.0.0.1:9100 -history-windows 300  # /api/history + /dash
 //	distscroll-bench -devices 100000 -history-out hist.json      # history replay file
+//	distscroll-bench -serve 127.0.0.1:9200 -hub-shards 2         # networked ingest hub
+//	distscroll-bench -saturate -connect 127.0.0.1:9200 -conns 4  # load generator against it
+//
+// Performance numbers come from the perfbench module (perfbench/run.sh),
+// not from this command.
 package main
 
 import (
@@ -62,12 +65,9 @@ func run(args []string, stdout io.Writer) error {
 		fleetWrk  = fs.Int("workers", 0, "bound on concurrently simulating fleet devices (0 = one goroutine per device)")
 		devicesN  = fs.Int("devices", 0, "simulate N struct-of-arrays scale devices (timing-wheel stripes) and print the throughput summary")
 		scaleList = fs.String("scale", "", "comma-separated device counts for a scale sweep (e.g. 1000,10000,100000)")
-		scaleJSON = fs.String("scale-json", "", "run the scale sweep plus wheel-vs-heap scheduler benchmarks and write the JSON scaling baseline (BENCH_5.json) to this file")
 		scaleDur  = fs.Duration("scale-duration", 10*time.Second, "virtual time each scale device simulates")
 		metrics   = fs.Bool("metrics", false, "instrument the fleet and append a Prometheus-format metrics dump to the report")
 		metOut    = fs.String("metrics-out", "", "write a JSON telemetry report (per-device counters, latency histograms) to this file")
-		benchCSV  = fs.String("bench-csv", "", "measure the hub demux hot path plain vs instrumented and write the overhead CSV to this file")
-		benchJSON = fs.String("bench-json", "", "measure the frame pipeline and hub demux (lock-free vs a mutex-hub replica) and write the JSON perf baseline to this file")
 		reliable  = fs.Bool("reliable", false, "wrap every fleet device's RF channel in the ARQ retransmission layer (guaranteed in-order delivery)")
 		loss      = fs.Float64("loss", -1, "override the fleet link loss probability (default: the model's stock loss)")
 		burst     = fs.Float64("burst", 0, "per-frame probability of a burst dropping several consecutive frames")
@@ -90,11 +90,9 @@ func run(args []string, stdout io.Writer) error {
 		serveAddr = fs.String("serve", "", "run the networked hub: accept frame-ingest connections on this address (e.g. 127.0.0.1:9200; port 0 picks one) instead of simulating")
 		serveFor  = fs.Duration("serve-for", 0, "with -serve: stop after this long (0 = serve until SIGINT/SIGTERM)")
 		hubShards = fs.Int("hub-shards", 0, "with -serve: number of hub shards; frames route by device id modulo the shard count (default 1)")
-		connect   = fs.String("connect", "", "stream the run's frames to a hubnet server at this address instead of the in-process hub (-fleet forwards each device's frames; -devices/-scale export one stream per worker; -saturate blasts load-generator connections)")
-		saturate  = fs.Bool("saturate", false, "measure the ingest saturation grid (PR-8 replica vs direct vs pipelined consume) in process, or, with -connect, blast frames at a -serve process as a load generator")
-		satJSON   = fs.String("saturate-json", "", "with -saturate: also write the machine-readable throughput baseline (BENCH_6.json) to this file")
-		connsStr  = fs.String("conns", "", "comma-separated concurrent-connection counts for the -saturate grid (default 1,8); with -connect, the single load-generator connection count")
-		satShards = fs.String("saturate-shards", "", "comma-separated shard counts for the -saturate grid (default 1,4)")
+		connect   = fs.String("connect", "", "send frames to a hubnet server at this address instead of the in-process hub (-fleet forwards each device's frames; -devices/-scale export one stream per worker; -saturate points the load generator at it)")
+		saturate  = fs.Bool("saturate", false, "with -connect: run the load generator, blasting freshly encoded frames at a -serve process")
+		conns     = fs.Int("conns", 2, "with -saturate -connect: load-generator connections, each streaming a disjoint device range")
 		satDur    = fs.Duration("saturate-duration", 5*time.Second, "with -saturate -connect: how long the load generator streams frames")
 		ingestPL  = fs.Bool("ingest-pipeline", true, "with -serve: hand decoded frames to per-shard ring workers in batches (false = direct per-frame consume on the connection goroutine)")
 		ringSlots = fs.Int("ring-slots", 0, "with -serve: per-shard ring capacity in batches (0 = default 256)")
@@ -121,24 +119,17 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	connsList, err := parseCountList("-conns", *connsStr, []int{1, 8})
-	if err != nil {
-		return err
+	if *conns < 1 {
+		return fmt.Errorf("-conns: counts must be at least 1, got %d", *conns)
 	}
-	shardsList, err := parseCountList("-saturate-shards", *satShards, []int{1, 4})
-	if err != nil {
-		return err
-	}
-	for _, n := range connsList {
-		if n > saturateDevices {
-			return fmt.Errorf("-conns: the saturation workload carries %d devices; %d connections would leave some idle", saturateDevices, n)
-		}
+	if *conns > saturateDevices {
+		return fmt.Errorf("-conns: the load generator carries %d devices; %d connections would leave some idle", saturateDevices, *conns)
 	}
 	if devicesSet && *fleetWrk > *devicesN {
 		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; extra workers will idle\n", *fleetWrk, *devicesN)
 	}
 
-	scaleMode := devicesSet || len(sweep) > 0 || *scaleJSON != ""
+	scaleMode := devicesSet || len(sweep) > 0
 	sloSet := *sloP99 > 0 || *sloMinFPS > 0 || *sloStall > 0
 	histSet := set["history-windows"] || set["history-interval"] || *histOut != ""
 	if set["history-windows"] && *histWin < 1 {
@@ -150,16 +141,13 @@ func run(args []string, stdout io.Writer) error {
 	opsSet := *opsListen != "" || sloSet || histSet
 	metricsSet := *metrics || *metOut != ""
 	if scaleMode && *fleetN > 0 {
-		return fmt.Errorf("-fleet cannot be combined with the scale flags (-devices/-scale/-scale-json); pick one path")
+		return fmt.Errorf("-fleet cannot be combined with the scale flags (-devices/-scale); pick one path")
 	}
 	if scaleMode && (*reliable || *burst > 0 || *burstLen > 0 || *ackLoss > 0) {
 		return fmt.Errorf("-reliable/-burst/-burst-len/-ack-loss shape the session fleet's link; the scale path models loss via -loss only")
 	}
 	if opsSet && !scaleMode && *fleetN <= 0 && *serveAddr == "" {
 		return fmt.Errorf("-ops-listen, -slo-* and -history-* flags require a live run (-fleet, -devices, -scale or -serve)")
-	}
-	if *scaleJSON != "" && (metricsSet || opsSet) {
-		return fmt.Errorf("-scale-json is the batch baseline writer; -metrics, -metrics-out, -ops-listen, -slo-* and -history-* need -devices or -scale")
 	}
 	if (*traceOut != "" || *flightRec || *traceSLO > 0) && *fleetN <= 0 {
 		return fmt.Errorf("tracing flags (-trace-out, -flight-recorder, -trace-slo) require -fleet")
@@ -168,7 +156,6 @@ func run(args []string, stdout io.Writer) error {
 	// Flag-combination validation, networked-hub and experiment-path edition:
 	// every combination that would silently ignore a flag errors instead.
 	simMode := *fleetN > 0 || scaleMode
-	benchMode := *benchCSV != "" || *benchJSON != ""
 	serveSet := *serveAddr != ""
 	connectSet := *connect != ""
 	switch {
@@ -176,8 +163,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-serve and -connect are mutually exclusive; run the server in one process and point a second process at it")
 	case serveSet && simMode:
 		return fmt.Errorf("-serve runs the ingest server only; simulate in a second process with -connect")
-	case serveSet && benchMode:
-		return fmt.Errorf("-bench-csv/-bench-json measure in-process baselines; they do not apply to -serve")
 	case serveSet && *saturate:
 		return fmt.Errorf("-saturate measures from the client side; run -serve in one process and -saturate -connect in another")
 	case serveSet && (set["run"] || *csvDir != "" || *outPath != ""):
@@ -204,32 +189,20 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-ring-policy must be block or drop, got %q", *ringFull)
 	case connectSet && !simMode && !*saturate:
 		return fmt.Errorf("-connect streams a simulation's frames; combine it with -fleet, -devices, -scale or -saturate")
-	case connectSet && *scaleJSON != "":
-		return fmt.Errorf("-scale-json measures the in-process baseline; it cannot stream to -connect")
 	case connectSet && *reliable:
 		return fmt.Errorf("-reliable needs the in-process ack loop; acks cannot cross the -connect byte stream")
 	}
 	switch {
-	case *saturate && benchMode:
-		return fmt.Errorf("-saturate and -bench-csv/-bench-json are separate baseline writers; run them one at a time")
 	case *saturate && simMode:
 		return fmt.Errorf("-saturate runs its own ingest workload; it cannot be combined with -fleet or the scale flags")
 	case *saturate && (set["run"] || *csvDir != "" || *outPath != ""):
 		return fmt.Errorf("-run/-csv/-o belong to the experiment path; -saturate does not run it")
 	case *saturate && metricsSet:
 		return fmt.Errorf("-metrics/-metrics-out report a simulation; -saturate measures ingest throughput only")
-	case !*saturate && (set["conns"] || set["saturate-shards"] || set["saturate-duration"] || *satJSON != ""):
-		return fmt.Errorf("-conns/-saturate-shards/-saturate-duration/-saturate-json parameterise a -saturate run")
-	case *satJSON != "" && connectSet:
-		return fmt.Errorf("-saturate-json writes the in-process grid baseline; the -connect load generator cannot measure it")
-	case *saturate && connectSet && set["saturate-shards"]:
-		return fmt.Errorf("-saturate-shards sizes the in-process grid; the -serve process picks its own shard count")
-	case *saturate && connectSet && set["conns"] && len(connsList) > 1:
-		return fmt.Errorf("-conns with -connect takes a single load-generator connection count, got %d values", len(connsList))
-	case *saturate && !connectSet && set["saturate-duration"]:
-		return fmt.Errorf("-saturate-duration bounds the -connect load generator; the in-process grid is iteration-timed")
-	case scaleMode && benchMode:
-		return fmt.Errorf("-bench-csv/-bench-json measure the demux and pipeline baselines; they cannot be combined with the scale flags")
+	case *saturate && !connectSet:
+		return fmt.Errorf("-saturate is the load generator and needs -connect pointing at a -serve process")
+	case !*saturate && (set["conns"] || set["saturate-duration"]):
+		return fmt.Errorf("-conns/-saturate-duration parameterise a -saturate run")
 	case simMode && set["run"]:
 		return fmt.Errorf("-run selects experiments; it cannot be combined with -fleet or the scale flags")
 	case simMode && *csvDir != "":
@@ -317,46 +290,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *saturate {
-		if connectSet {
-			conns := 2
-			if set["conns"] {
-				conns = connsList[0]
-			}
-			return runSaturateLoad(loadGenOpts{addr: *connect, conns: conns, dur: *satDur}, stdout)
-		}
-		return runSaturate(saturateOpts{connsList: connsList, shardsList: shardsList, jsonPath: *satJSON}, stdout)
+		return runSaturateLoad(loadGenOpts{addr: *connect, conns: *conns, dur: *satDur}, stdout)
 	}
 
-	if *benchCSV != "" {
-		if err := writeBenchCSV(*benchCSV); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote demux overhead benchmarks to %s\n", *benchCSV)
-		if *fleetN <= 0 && *benchJSON == "" {
-			return nil
-		}
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote perf baseline to %s\n", *benchJSON)
-		if *fleetN <= 0 {
-			return nil
-		}
-	}
-
-	if *scaleJSON != "" {
-		if len(sweep) == 0 {
-			sweep = defaultScaleSweep
-		}
-		if err := writeScaleJSON(*scaleJSON, sweep, *seed, *fleetWrk, *scaleDur, *loss, stdout); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote scaling baseline to %s\n", *scaleJSON)
-		return nil
-	}
 	if scaleMode {
 		if devicesSet {
 			sweep = append([]int{*devicesN}, sweep...)

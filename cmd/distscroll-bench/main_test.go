@@ -229,62 +229,3 @@ func TestScaleWarnsOnExcessWorkers(t *testing.T) {
 		t.Fatalf("no worker warning:\n%s", out.String())
 	}
 }
-
-func TestScaleJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real wall-clock benchmarks")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_5.json")
-	var out bytes.Buffer
-	if err := run([]string{"-scale-json", path, "-scale", "300", "-scale-duration", "1s"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc scaleBaseline
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("baseline not JSON: %v\n%.300s", err, data)
-	}
-	rows := scaleWorkerRows(0)
-	if doc.PR != 5 || len(doc.Scale) != len(rows) {
-		t.Fatalf("baseline shape: %+v", doc)
-	}
-	for i, p := range doc.Scale {
-		if p.Devices != 300 || p.Workers != rows[i] {
-			t.Fatalf("scale row %d: want 300 devices x %d worker(s), got %+v", i, rows[i], p)
-		}
-	}
-	if doc.After[0].Name != "SchedulerWheel" || doc.After[0].AllocsPerOp != 0 {
-		t.Fatalf("wheel hot path not allocation-free in baseline: %+v", doc.After)
-	}
-	if doc.Scale[0].RealTimeFactor <= 1 {
-		t.Fatalf("300 devices slower than real time: %+v", doc.Scale[0])
-	}
-}
-
-func TestBenchCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real wall-clock benchmarks")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.csv")
-	var out bytes.Buffer
-	if err := run([]string{"-bench-csv", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	if !strings.Contains(s, "HubDemux,") || !strings.Contains(s, "HubDemuxInstrumented,") {
-		t.Fatalf("bench.csv:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 3 || lines[0] != "benchmark,iterations,ns_per_op,overhead_pct" {
-		t.Fatalf("bench.csv shape:\n%s", s)
-	}
-}

@@ -80,8 +80,6 @@ func TestFlagComboValidation(t *testing.T) {
 		{[]string{"-slo-stall", "5s"}, "require a live run"},
 		{[]string{"-slo-p99", "50", "-run", "F3"}, "require a live run"},
 		{[]string{"-scale", "100,200", "-metrics", "-scale-duration", "1s"}, "single-point scale run"},
-		{[]string{"-scale-json", "x.json", "-metrics"}, "-scale-json is the batch baseline writer"},
-		{[]string{"-scale-json", "x.json", "-ops-listen", "127.0.0.1:0"}, "-scale-json is the batch baseline writer"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

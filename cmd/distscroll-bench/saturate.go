@@ -1,320 +1,25 @@
 package main
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	"github.com/hcilab/distscroll/internal/hubnet"
 	"github.com/hcilab/distscroll/internal/rf"
 )
 
-// This file implements -saturate: the ingest-tier throughput baseline
-// (BENCH_6.json) behind the shard-ring pipeline. Like -bench-json, the
-// "before" is not a number copied out of an old report — the tool carries
-// a faithful replica of the PR-8 ingest hot path (bit-at-a-time CRC,
-// per-frame edge-counter atomics, per-frame direct consume on the
-// connection goroutine) and measures it live against the current direct
-// and pipelined paths, same machine, same process, same byte streams.
-//
-// With -connect the same flag turns into a network load generator: each
+// This file implements -saturate -connect: a network load generator. Each
 // connection blasts freshly encoded frames at a -serve process for
 // -saturate-duration, which is what the CI saturate-smoke job uses to put
-// real bytes through the pipeline while scraping net_ring_* live.
+// real bytes through the ingest pipeline while scraping net_ring_* live.
+// Measured ingest throughput comes from perfbench's ingest-tcp workload.
 
-// The grid workload mirrors BenchmarkHubnetSaturate: 64 devices split
-// across the connections in disjoint ranges, 8 frames per device per op.
-const (
-	saturateDevices = 64
-	saturateRounds  = 8
-)
-
-// saturateCRC16 is a local copy of the bit-at-a-time CRC-16/CCITT-FALSE
-// every pre-PR-9 revision of internal/rf shipped — the definitional
-// reference the table-driven codec replaced. The replica must pay this
-// cost per byte or the "before" would be flattered.
-func saturateCRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
-// pr8Ingest replicates one connection's PR-8 ingest state: an inline
-// frame scanner with the bitwise CRC, one edge-counter atomic add per
-// frame, and a synchronous per-frame Consume into a direct gateway. Not
-// safe for concurrent use — one stream, one feeder, like the original.
-type pr8Ingest struct {
-	gw     *hubnet.Gateway
-	frames *atomic.Uint64
-	bad    *atomic.Uint64
-	buf    []byte
-}
-
-func (in *pr8Ingest) feed(data []byte) {
-	in.buf = append(in.buf, data...)
-	pos := 0
-	for {
-		start := -1
-		for i := pos; i+1 < len(in.buf); i++ {
-			if in.buf[i] == 0xAA && in.buf[i+1] == 0x55 {
-				start = i
-				break
-			}
-		}
-		if start < 0 {
-			break
-		}
-		pos = start
-		if len(in.buf)-pos < 3 {
-			break
-		}
-		n := int(in.buf[pos+2])
-		total := 3 + n + 2
-		if len(in.buf)-pos < total {
-			break
-		}
-		body := in.buf[pos+2 : pos+3+n]
-		wantCRC := binary.BigEndian.Uint16(in.buf[pos+3+n : pos+total])
-		if saturateCRC16(body) != wantCRC {
-			pos += 2
-			continue
-		}
-		in.frames.Add(1) // per-frame edge accounting, the PR-8 shape
-		var m rf.Message
-		if !m.Decode(in.buf[pos+3 : pos+3+n]) {
-			in.bad.Add(1)
-		} else {
-			in.gw.Consume(m, 0)
-		}
-		pos += total
-	}
-	if pos > 0 {
-		n := copy(in.buf, in.buf[pos:])
-		in.buf = in.buf[:n]
-	}
-}
-
-// saturateStreams builds one clean wire stream per connection: disjoint
-// contiguous device ranges, one frame per device per round, seq counting
-// up — the exact workload BenchmarkHubnetSaturate feeds.
-func saturateStreams(conns int) ([][]byte, error) {
-	streams := make([][]byte, conns)
-	payload := make([]byte, 0, 64)
-	for c := range streams {
-		lo, hi := c*saturateDevices/conns+1, (c+1)*saturateDevices/conns
-		for seq := 0; seq < saturateRounds; seq++ {
-			for dev := lo; dev <= hi; dev++ {
-				msg := rf.Message{Device: uint32(dev), Kind: rf.MsgScroll, Seq: uint16(seq), AtMillis: uint32(seq) * 40}
-				payload = msg.AppendBinary(payload[:0])
-				var err error
-				streams[c], err = rf.AppendEncode(streams[c], payload)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return streams, nil
-}
-
-// saturateEntry is one grid cell: a mode at a connection and shard count.
-type saturateEntry struct {
-	Mode            string  `json:"mode"` // pr8-replica | direct | pipeline
-	Conns           int     `json:"conns"`
-	Shards          int     `json:"shards"`
-	Iterations      int     `json:"iterations"`
-	NsPerFrame      float64 `json:"nsPerFrame"`
-	FramesPerSecond float64 `json:"framesPerSecond"`
-	AllocsPerOp     int64   `json:"allocsPerOp"`
-}
-
-// saturateCell measures one cell live: `conns` long-lived feeder
-// goroutines (each its own ingest state, its own device range — what
-// serveConn does minus the socket) driven by channel tokens so the timed
-// loop measures ingest, not goroutine churn. One op pushes every stream
-// through once and drains the rings.
-func saturateCell(mode string, conns, shards int) (saturateEntry, error) {
-	streams, err := saturateStreams(conns)
-	if err != nil {
-		return saturateEntry{}, err
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		gw := hubnet.NewGateway(hubnet.Config{Shards: shards, Pipeline: mode == "pipeline"})
-		defer gw.Close()
-		var edgeFrames, edgeBad atomic.Uint64
-		feeds := make([]func([]byte), conns)
-		for c := range feeds {
-			if mode == "pr8-replica" {
-				in := &pr8Ingest{gw: gw, frames: &edgeFrames, bad: &edgeBad}
-				feeds[c] = in.feed
-			} else {
-				feeds[c] = gw.NewIngest(nil).Feed
-			}
-		}
-		starts := make([]chan struct{}, conns)
-		fed := make(chan struct{}, conns)
-		for c := range feeds {
-			feeds[c](streams[c]) // warm-up: sessions + scratch buffers
-			starts[c] = make(chan struct{})
-			go func(c int) {
-				for range starts[c] {
-					feeds[c](streams[c])
-					fed <- struct{}{}
-				}
-			}(c)
-		}
-		defer func() {
-			for _, ch := range starts {
-				close(ch)
-			}
-		}()
-		gw.Drain()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, ch := range starts {
-				ch <- struct{}{}
-			}
-			for range feeds {
-				<-fed
-			}
-			gw.Drain()
-		}
-	})
-	frames := uint64(saturateDevices*saturateRounds) * uint64(r.N)
-	nsPerFrame := float64(r.T.Nanoseconds()) / float64(frames)
-	return saturateEntry{
-		Mode:            mode,
-		Conns:           conns,
-		Shards:          shards,
-		Iterations:      r.N,
-		NsPerFrame:      nsPerFrame,
-		FramesPerSecond: 1e9 / nsPerFrame,
-		AllocsPerOp:     r.AllocsPerOp(),
-	}, nil
-}
-
-// saturateBaseline is the BENCH_6.json document: the full mode × conns ×
-// shards grid plus the headline speedups at the grid's deepest cell.
-type saturateBaseline struct {
-	PR         int             `json:"pr"`
-	GOOS       string          `json:"goos"`
-	GOARCH     string          `json:"goarch"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Devices    int             `json:"devices"`
-	Rounds     int             `json:"rounds"`
-	Grid       []saturateEntry `json:"grid"`
-	// SpeedupDirect/SpeedupPipeline divide the PR-8 replica's ns/frame by
-	// the direct and pipelined paths' at the highest conns × shards cell,
-	// same machine and workload.
-	SpeedupDirect   float64 `json:"speedupDirect"`
-	SpeedupPipeline float64 `json:"speedupPipeline"`
-}
-
-// saturateModes orders the grid's ingest paths oldest first.
-var saturateModes = []string{"pr8-replica", "direct", "pipeline"}
-
-// parseCountList parses a "-conns 1,4,8"-style flag into positive counts,
-// or returns the default when the flag was not given.
-func parseCountList(name, s string, def []int) ([]int, error) {
-	if s == "" {
-		return def, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %q is not a count", name, part)
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("%s: counts must be at least 1, got %d", name, n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// saturateOpts parameterises the in-process -saturate grid.
-type saturateOpts struct {
-	connsList  []int
-	shardsList []int
-	jsonPath   string
-}
-
-// runSaturate measures the grid and prints the frames/s table; with
-// -saturate-json it also writes the machine-readable baseline.
-func runSaturate(o saturateOpts, stdout io.Writer) error {
-	fmt.Fprintf(stdout, "DistScroll ingest saturation grid (%d devices × %d rounds per op)\n",
-		saturateDevices, saturateRounds)
-	fmt.Fprintf(stdout, "%7s %6s %12s %12s %14s %10s\n",
-		"shards", "conns", "mode", "ns/frame", "frames/s", "allocs/op")
-	doc := saturateBaseline{
-		PR:         6,
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Devices:    saturateDevices,
-		Rounds:     saturateRounds,
-	}
-	for _, shards := range o.shardsList {
-		for _, conns := range o.connsList {
-			for _, mode := range saturateModes {
-				e, err := saturateCell(mode, conns, shards)
-				if err != nil {
-					return err
-				}
-				doc.Grid = append(doc.Grid, e)
-				fmt.Fprintf(stdout, "%7d %6d %12s %12.1f %14.0f %10d\n",
-					e.Shards, e.Conns, e.Mode, e.NsPerFrame, e.FramesPerSecond, e.AllocsPerOp)
-			}
-		}
-	}
-	// Headline speedups: the deepest cell is the last conns × shards pair,
-	// whose three modes sit at the tail of the grid.
-	tail := doc.Grid[len(doc.Grid)-len(saturateModes):]
-	if ns := tail[1].NsPerFrame; ns > 0 {
-		doc.SpeedupDirect = tail[0].NsPerFrame / ns
-	}
-	if ns := tail[2].NsPerFrame; ns > 0 {
-		doc.SpeedupPipeline = tail[0].NsPerFrame / ns
-	}
-	fmt.Fprintf(stdout, "speedup vs PR-8 replica at %d conn(s) × %d shard(s): direct %.2fx, pipeline %.2fx\n",
-		tail[0].Conns, tail[0].Shards, doc.SpeedupDirect, doc.SpeedupPipeline)
-
-	if o.jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(o.jsonPath)
-	if err != nil {
-		return fmt.Errorf("saturate json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("saturate json: %w", err)
-	}
-	fmt.Fprintf(stdout, "wrote saturation baseline to %s\n", o.jsonPath)
-	return nil
-}
+// saturateDevices is the device population the load generator splits
+// across its connections in disjoint contiguous ranges.
+const saturateDevices = 64
 
 // loadGenOpts parameterises -saturate -connect: the network load
 // generator the CI saturate-smoke job points at a -serve process.

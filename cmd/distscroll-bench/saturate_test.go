@@ -2,101 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestSaturateCRCMatchesTable pins the replica's local bitwise CRC
-// against the shipping table-driven codec: if the copies ever diverge the
-// replica would reject every frame and the "before" column would measure
-// an idle loop.
-func TestSaturateCRCMatchesTable(t *testing.T) {
-	if got := saturateCRC16([]byte("123456789")); got != 0x29B1 {
-		t.Fatalf("check vector: got %#04x, want 0x29B1", got)
-	}
-	streams, err := saturateStreams(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &pr8IngestProbe{}
-	in.feedAll(t, streams[0])
-	if in.frames != saturateDevices*saturateRounds {
-		t.Fatalf("replica decoded %d frames, want %d", in.frames, saturateDevices*saturateRounds)
-	}
-}
-
-// pr8IngestProbe counts the frames the replica scanner accepts without a
-// gateway behind it.
-type pr8IngestProbe struct{ frames int }
-
-func (p *pr8IngestProbe) feedAll(t *testing.T, stream []byte) {
-	t.Helper()
-	// Reuse the replica's framing logic by scanning the stream the same
-	// way: every frame must pass the bitwise CRC.
-	pos := 0
-	for pos+5 <= len(stream) {
-		if stream[pos] != 0xAA || stream[pos+1] != 0x55 {
-			t.Fatalf("stream lost sync at %d", pos)
-		}
-		n := int(stream[pos+2])
-		body := stream[pos+2 : pos+3+n]
-		want := uint16(stream[pos+3+n])<<8 | uint16(stream[pos+4+n])
-		if saturateCRC16(body) != want {
-			t.Fatalf("bitwise CRC rejects frame at %d", pos)
-		}
-		p.frames++
-		pos += 5 + n
-	}
-	if pos != len(stream) {
-		t.Fatalf("stream has %d trailing bytes", len(stream)-pos)
-	}
-}
-
-// TestSaturateGridJSON runs the smallest in-process grid end to end
-// through run() and checks the BENCH_6.json shape: all three modes
-// present, allocation-free steady state, and the modern paths faster
-// than the PR-8 replica.
-func TestSaturateGridJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real wall-clock benchmarks")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_6.json")
-	var out bytes.Buffer
-	if err := run([]string{"-saturate", "-conns", "2", "-saturate-shards", "2", "-saturate-json", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc saturateBaseline
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("baseline not JSON: %v\n%.300s", err, data)
-	}
-	if doc.PR != 6 || len(doc.Grid) != len(saturateModes) {
-		t.Fatalf("baseline shape: %+v", doc)
-	}
-	for i, e := range doc.Grid {
-		if e.Mode != saturateModes[i] || e.Conns != 2 || e.Shards != 2 {
-			t.Fatalf("grid cell %d: %+v", i, e)
-		}
-		if e.AllocsPerOp != 0 {
-			t.Fatalf("%s ingest allocates %d/op at steady state", e.Mode, e.AllocsPerOp)
-		}
-		if e.NsPerFrame <= 0 || e.FramesPerSecond <= 0 {
-			t.Fatalf("grid cell %d unmeasured: %+v", i, e)
-		}
-	}
-	if doc.SpeedupPipeline < 1.5 {
-		t.Fatalf("pipeline speedup %.2fx vs the PR-8 replica, want >= 1.5x", doc.SpeedupPipeline)
-	}
-}
 
 // TestSaturateLoadAgainstServe is the load generator's end-to-end test:
 // a pipelined -serve process in one goroutine, -saturate -connect in

@@ -24,7 +24,6 @@ func TestServeConnectFlagValidation(t *testing.T) {
 		{[]string{"-serve", "127.0.0.1:0", "-connect", "127.0.0.1:9"}, "mutually exclusive"},
 		{[]string{"-serve", "127.0.0.1:0", "-fleet", "4"}, "ingest server only"},
 		{[]string{"-serve", "127.0.0.1:0", "-devices", "100"}, "ingest server only"},
-		{[]string{"-serve", "127.0.0.1:0", "-bench-csv", "b.csv"}, "do not apply to -serve"},
 		{[]string{"-serve", "127.0.0.1:0", "-run", "F3"}, "-serve does not run one"},
 		{[]string{"-serve", "127.0.0.1:0", "-o", "report.txt"}, "-serve does not run one"},
 		{[]string{"-serve", "127.0.0.1:0", "-loss", "0.1"}, "they do not apply to -serve"},
@@ -41,24 +40,19 @@ func TestServeConnectFlagValidation(t *testing.T) {
 		{[]string{"-serve", "127.0.0.1:0", "-ring-batch", "0"}, "-ring-batch must be at least 1"},
 		{[]string{"-serve", "127.0.0.1:0", "-ring-policy", "shed"}, "must be block or drop"},
 		{[]string{"-saturate", "-fleet", "2"}, "cannot be combined with -fleet or the scale flags"},
-		{[]string{"-saturate", "-bench-json", "x.json"}, "run them one at a time"},
 		{[]string{"-saturate", "-metrics"}, "ingest throughput only"},
 		{[]string{"-saturate", "-run", "F3"}, "-saturate does not run it"},
 		{[]string{"-conns", "4"}, "parameterise a -saturate run"},
-		{[]string{"-saturate-json", "x.json"}, "parameterise a -saturate run"},
 		{[]string{"-saturate", "-conns", "0"}, "counts must be at least 1"},
 		{[]string{"-saturate", "-conns", "128"}, "would leave some idle"},
 		{[]string{"-saturate", "-saturate-duration", "3s"}, "load generator"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-json", "x.json"}, "cannot measure it"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-shards", "2"}, "picks its own shard count"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-conns", "1,2"}, "single load-generator connection count"},
+		{[]string{"-saturate"}, "needs -connect"},
+		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-conns", "1,2"}, `invalid value "1,2" for flag -conns`},
 		{[]string{"-connect", "127.0.0.1:9"}, "combine it with -fleet, -devices, -scale or -saturate"},
-		{[]string{"-connect", "127.0.0.1:9", "-devices", "100", "-scale-json", "x.json"}, "cannot stream to -connect"},
 		{[]string{"-connect", "127.0.0.1:9", "-fleet", "4", "-reliable"}, "acks cannot cross the -connect byte stream"},
 		{[]string{"-fleet", "2", "-run", "F3"}, "-run selects experiments"},
 		{[]string{"-fleet", "2", "-csv", "out"}, "cannot be combined with -fleet"},
 		{[]string{"-devices", "100", "-o", "report.txt"}, "the scale path prints to stdout only"},
-		{[]string{"-devices", "100", "-bench-csv", "b.csv"}, "cannot be combined with the scale flags"},
 		{[]string{"-workers", "4"}, "bounds a -fleet or scale run"},
 		{[]string{"-fleet", "2", "-burst-len", "3"}, "set -burst > 0 as well"},
 		{[]string{"-fleet", "2", "-ack-loss", "0.1"}, "add -reliable"},

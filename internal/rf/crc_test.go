@@ -53,3 +53,39 @@ func TestCRC16RejectsEveryBitFlip(t *testing.T) {
 		}
 	}
 }
+
+var crcSink uint16
+
+// BenchmarkCRC16 times the table-driven CRC against the bitwise oracle
+// over a 25-byte frame body.
+func BenchmarkCRC16(b *testing.B) {
+	body := make([]byte, 25)
+	for _, bc := range []struct {
+		name string
+		crc  func([]byte) uint16
+	}{{"table", CRC16}, {"bitwise", crc16Bitwise}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				crcSink = bc.crc(body)
+			}
+		})
+	}
+}
+
+// crc16Bitwise is the bit-at-a-time reference implementation of
+// CRC-16/CCITT-FALSE, the codec every earlier revision of this package
+// shipped. It is the differential-test oracle for the table-driven CRC16.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}

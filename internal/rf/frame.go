@@ -58,31 +58,13 @@ var crcTable = func() (t [256]uint16) {
 }()
 
 // CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) using the
-// byte-wise lookup table. crc16Bitwise is the definitional reference; the
-// two are pinned identical over the full input space by TestCRC16TableMatchesBitwise.
+// byte-wise lookup table. TestCRC16TableMatchesBitwise pins it against a
+// bit-at-a-time oracle over known vectors, every single-byte input and
+// randomized buffers.
 func CRC16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {
 		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
-	}
-	return crc
-}
-
-// crc16Bitwise is the bit-at-a-time reference implementation of
-// CRC-16/CCITT-FALSE — the codec every earlier revision of this package
-// shipped. It is kept as the differential-test oracle for the table-driven
-// CRC16 and as the honest "before" for ingest throughput baselines.
-func crc16Bitwise(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
 	}
 	return crc
 }
