@@ -382,6 +382,33 @@ func BenchmarkHubDemuxParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkHubRegister measures device registration: each iteration
+// registers n fresh sequential ids into a new hub, the way a gateway meets
+// a fleet joining. B/reg and ns/reg stay flat across the sizes because
+// registration is amortised O(1): an id that fits is one slot store, and
+// only a doubling growth copies the table.
+func BenchmarkHubRegister(b *testing.B) {
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hub := core.NewHub(false)
+				for id := uint32(1); id <= uint32(n); id++ {
+					hub.Session(id)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			regs := float64(n) * float64(b.N)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/regs, "B/reg")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/regs, "ns/reg")
+		})
+	}
+}
+
 // BenchmarkFleetScroll runs a full 16-device fleet — sensors, firmware,
 // lossy radios and the shared hub — through the scripted menu workload per
 // iteration and reports the simulated decode throughput.

@@ -125,6 +125,9 @@ func run(args []string, stdout io.Writer) error {
 	if *conns > saturateDevices {
 		return fmt.Errorf("-conns: the load generator carries %d devices; %d connections would leave some idle", saturateDevices, *conns)
 	}
+	if *satDur <= 0 {
+		return fmt.Errorf("-saturate-duration must be positive, got %v", *satDur)
+	}
 	if devicesSet && *fleetWrk > *devicesN {
 		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; extra workers will idle\n", *fleetWrk, *devicesN)
 	}

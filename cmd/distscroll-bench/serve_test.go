@@ -46,6 +46,8 @@ func TestServeConnectFlagValidation(t *testing.T) {
 		{[]string{"-saturate", "-conns", "0"}, "counts must be at least 1"},
 		{[]string{"-saturate", "-conns", "128"}, "would leave some idle"},
 		{[]string{"-saturate", "-saturate-duration", "3s"}, "load generator"},
+		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-duration", "-1s"}, "-saturate-duration must be positive"},
+		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-duration", "0s"}, "-saturate-duration must be positive"},
 		{[]string{"-saturate"}, "needs -connect"},
 		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-conns", "1,2"}, `invalid value "1,2" for flag -conns`},
 		{[]string{"-connect", "127.0.0.1:9"}, "combine it with -fleet, -devices, -scale or -saturate"},

@@ -31,29 +31,31 @@ type HubStats struct {
 
 // denseLimit bounds the dense (array-indexed) part of the session table.
 // Fleet ids are small and sequential (1..n), so almost every lookup is one
-// bounds check and one slice index; ids above the limit fall back to a map
-// so a stray 32-bit id cannot balloon the array.
+// bounds check and one slot load; ids above the limit fall back to a
+// concurrent map so a stray 32-bit id cannot balloon the array.
 const denseLimit = 1 << 20
 
-// sessionTable is one immutable snapshot of the hub's device→session
-// routing state. Lookups go through an atomic pointer load, so the demux
-// hot path never takes a lock; registration builds a fresh table and swaps
-// it in (read-mostly copy-on-write — sessions are created once per device
-// and then live for the whole run).
+// sessionTable is one generation of the hub's dense device→session slots.
+// Lookups go through an atomic pointer load plus an atomic slot load, so
+// the demux hot path never takes a lock. Registration stores into a free
+// slot of the current table in place; only an id past the end grows the
+// table, by doubling, into a fresh generation that is then swapped in — so
+// the copy is amortised O(1) per registration. A reader still holding the
+// previous generation sees nil for an id registered after the growth and
+// drops into Hub.Session, which re-checks under the lock.
 type sessionTable struct {
-	dense  []*Session          // ids < len(dense), nil when unregistered
-	sparse map[uint32]*Session // ids >= denseLimit (rare)
+	dense []atomic.Pointer[Session] // ids < len(dense); nil when unregistered
 }
 
-// lookup returns the session for a device id, or nil.
+// lookup returns the dense-table session for a device id, or nil when the
+// id is unregistered or outside the table. It is the demux hot path and
+// inlines; a nil sends the caller to Hub.Session, which also covers sparse
+// ids.
 func (t *sessionTable) lookup(id uint32) *Session {
 	if id < uint32(len(t.dense)) {
-		return t.dense[id]
+		return t.dense[id].Load()
 	}
-	if t.sparse == nil {
-		return nil
-	}
-	return t.sparse[id]
+	return nil
 }
 
 var emptyTable = &sessionTable{}
@@ -66,18 +68,32 @@ var emptyTable = &sessionTable{}
 //
 // A hub is safe for concurrent use by many device goroutines; frames from
 // any single device must arrive in order. The steady-state demux path is
-// contention-free: an atomic table load, a slice index and the per-device
-// session state — no global lock, so 64 device goroutines demux without
-// serialising, and a corrupt-frame storm only touches an atomic counter.
+// contention-free: an atomic table load, an atomic slot load and the
+// per-device session state — no global lock, so 64 device goroutines demux
+// without serialising, and a corrupt-frame storm only touches an atomic
+// counter.
 type Hub struct {
 	keepLogs bool
 	metrics  *telemetry.Registry
 
 	table     atomic.Pointer[sessionTable]
+	sparse    sync.Map // uint32 → *Session for ids >= denseLimit (rare)
 	badFrames atomic.Uint64
 
-	mu    sync.Mutex // guards table swaps and the registration order
+	mu    sync.Mutex // serialises registration: slot stores, table growth and the order
 	order []uint32   // ids in registration order, for deterministic iteration
+}
+
+// find returns the session for any device id, or nil: a dense-table hit,
+// else the sparse store for ids at or above denseLimit.
+func (h *Hub) find(t *sessionTable, id uint32) *Session {
+	if s := t.lookup(id); s != nil || id < denseLimit {
+		return s
+	}
+	if v, ok := h.sparse.Load(id); ok {
+		return v.(*Session)
+	}
+	return nil
 }
 
 // NewHub returns an empty hub. With keepLogs set every session retains its
@@ -119,7 +135,7 @@ func (h *Hub) sessionsInOrder() []*Session {
 	t := h.table.Load()
 	out := make([]*Session, 0, len(h.order))
 	for _, id := range h.order {
-		out = append(out, t.lookup(id))
+		out = append(out, h.find(t, id))
 	}
 	h.mu.Unlock()
 	return out
@@ -149,24 +165,26 @@ func (h *Hub) Collect(snap *telemetry.Snapshot) int {
 // Session returns the session for the given device id, creating it if the
 // device is new. Use it to register per-device handlers before a run.
 func (h *Hub) Session(id uint32) *Session {
-	if s := h.table.Load().lookup(id); s != nil {
+	if s := h.find(h.table.Load(), id); s != nil {
 		return s
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// Re-check under the lock: another goroutine may have registered the
 	// device between our lookup and the lock.
-	cur := h.table.Load()
-	if s := cur.lookup(id); s != nil {
+	t := h.table.Load()
+	if s := h.find(t, id); s != nil {
 		return s
 	}
 	s := NewSession(id, h.keepLogs)
 	if h.metrics != nil {
 		s.attachMetrics(h.metrics)
 	}
-	next := &sessionTable{}
-	if id < denseLimit {
-		n := len(cur.dense)
+	switch {
+	case id < uint32(len(t.dense)):
+		t.dense[id].Store(s)
+	case id < denseLimit:
+		n := len(t.dense)
 		for n <= int(id) {
 			if n == 0 {
 				n = 8
@@ -174,26 +192,22 @@ func (h *Hub) Session(id uint32) *Session {
 				n *= 2
 			}
 		}
-		next.dense = make([]*Session, n)
-		copy(next.dense, cur.dense)
-		next.dense[id] = s
-		next.sparse = cur.sparse
-	} else {
-		next.dense = cur.dense
-		next.sparse = make(map[uint32]*Session, len(cur.sparse)+1)
-		for k, v := range cur.sparse {
-			next.sparse[k] = v
+		next := &sessionTable{dense: make([]atomic.Pointer[Session], n)}
+		for i := range t.dense {
+			next.dense[i].Store(t.dense[i].Load())
 		}
-		next.sparse[id] = s
+		next.dense[id].Store(s)
+		h.table.Store(next)
+	default:
+		h.sparse.Store(id, s)
 	}
-	h.table.Store(next)
 	h.order = append(h.order, id)
 	return s
 }
 
 // Lookup returns the session for a device id without creating one.
 func (h *Hub) Lookup(id uint32) (*Session, bool) {
-	s := h.table.Load().lookup(id)
+	s := h.find(h.table.Load(), id)
 	return s, s != nil
 }
 

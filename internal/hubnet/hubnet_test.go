@@ -1,6 +1,7 @@
 package hubnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -304,6 +305,68 @@ func TestServerClientRoundTrip(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		return gw.NetStats().ConnsOpen == 0
 	}, "connection close to drain")
+}
+
+// TestServerFreshIdSpray is the hostile-client registration case: one
+// connection sends every frame under a device id the gateway has never
+// seen, so each frame registers a session. Every frame must still be
+// decoded and every device registered, and the heap cost per new device
+// must be a constant, not a table copy that grows with the fleet.
+func TestServerFreshIdSpray(t *testing.T) {
+	const devices = 50_000
+	// The gateway's per-device heap is one session plus its amortised share
+	// of the dense slots and the registration order, about 250 B on amd64;
+	// a table copy per registration costs hundreds of KB at this size.
+	const maxBytesPerDevice = 1024
+	srv, err := Serve("127.0.0.1:0", Config{Shards: 2, Pipeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payloads := make([][]byte, devices)
+	for i := range payloads {
+		m := rf.Message{Kind: rf.MsgScroll, Device: uint32(i + 1)}
+		if payloads[i], err = m.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gw := srv.Gateway()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, p := range payloads {
+		if err := conn.Send(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, func() bool {
+		return gw.NetStats().Frames == devices
+	}, "all frames to reach the gateway")
+	waitFor(t, 30*time.Second, func() bool {
+		return gw.Stats().Decoded == devices
+	}, "all frames to be consumed")
+	runtime.ReadMemStats(&after)
+
+	if st := conn.Stats(); st.Sent != devices {
+		t.Fatalf("client sent %d frames, want %d", st.Sent, devices)
+	}
+	if hs := gw.Stats(); hs.Devices != devices || hs.Decoded != devices || hs.MissedSeq != 0 || hs.BadFrames != 0 {
+		t.Fatalf("gateway stats: %+v, want %d devices and decoded frames", hs, devices)
+	}
+	perDevice := float64(after.TotalAlloc-before.TotalAlloc) / devices
+	t.Logf("%.0f bytes allocated per new device", perDevice)
+	if perDevice > maxBytesPerDevice {
+		t.Fatalf("%.0f bytes allocated per new device, want at most %d", perDevice, maxBytesPerDevice)
+	}
 }
 
 func TestFrameSenderMapsSlabSlots(t *testing.T) {
