@@ -47,41 +47,55 @@ func TestGoldenReportSeed1(t *testing.T) {
 	}
 }
 
-// TestGoldenHelpOutput pins the -h flag listing against testdata/help.txt,
-// so every new flag (e.g. the -devices/-scale scale sweep) is
-// a deliberate, reviewed addition to the CLI surface. Refresh with:
+// TestGoldenHelpOutput pins the -h flag listing of the bare command against
+// testdata/help.txt and of each subcommand against testdata/help_<cmd>.txt,
+// so every flag is a deliberate, reviewed part of one command's surface.
+// Refresh with:
 //
 //	go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update
 func TestGoldenHelpOutput(t *testing.T) {
-	golden := filepath.Join("testdata", "help.txt")
-
-	var out bytes.Buffer
-	if err := run([]string{"-h"}, &out); err != nil {
-		t.Fatalf("-h errored: %v", err)
-	}
-	for _, flagName := range []string{"-devices", "-scale", "-scale-duration",
-		"-saturate", "-conns", "-saturate-duration", "-ingest-pipeline", "-ring-slots", "-ring-batch", "-ring-policy"} {
-		if !bytes.Contains(out.Bytes(), []byte(flagName)) {
-			t.Fatalf("help output missing %s:\n%s", flagName, out.String())
+	for _, tc := range []struct {
+		cmd   string
+		flags []string
+	}{
+		{"", []string{"-run", "-seed", "-o", "-csv", "fleet", "scale", "serve", "load"}},
+		{"fleet", []string{"-devices", "-workers", "-reliable", "-loss", "-trace-out", "-connect", "-ops-listen", "-cpuprofile"}},
+		{"scale", []string{"-devices", "-duration", "-workers", "-loss", "-metrics", "-connect", "-history-out", "-cpuprofile"}},
+		{"serve", []string{"-listen", "-shards", "-for", "-ingest-pipeline", "-ring-policy", "-slo-stall", "-cpuprofile"}},
+		{"load", []string{"-connect", "-conns", "-duration", "-cpuprofile"}},
+	} {
+		args, golden := []string{"-h"}, filepath.Join("testdata", "help.txt")
+		if tc.cmd != "" {
+			args = []string{tc.cmd, "-h"}
+			golden = filepath.Join("testdata", "help_"+tc.cmd+".txt")
 		}
-	}
-
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v errored: %v", args, err)
 		}
-		t.Logf("rewrote %s (%d bytes)", golden, out.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		line, gl, wl := firstDiffLine(out.Bytes(), want)
-		t.Fatalf("help output drifted from testdata/help.txt at line %d:\n  golden: %q\n  got:    %q\n"+
-			"intentional change? refresh with: go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update",
-			line, wl, gl)
+		for _, name := range tc.flags {
+			if !bytes.Contains(out.Bytes(), []byte(name)) {
+				t.Fatalf("%v output missing %s:\n%s", args, name, out.String())
+			}
+		}
+
+		if *update {
+			if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s (%d bytes)", golden, out.Len())
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("read golden: %v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			line, gl, wl := firstDiffLine(out.Bytes(), want)
+			t.Fatalf("%v output drifted from %s at line %d:\n  golden: %q\n  got:    %q\n"+
+				"intentional change? refresh with: go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update",
+				args, golden, line, wl, gl)
+		}
 	}
 }
 

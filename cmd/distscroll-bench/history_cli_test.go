@@ -23,7 +23,7 @@ func TestScaleHistoryOut(t *testing.T) {
 	path := filepath.Join(dir, "hist.json")
 	var out bytes.Buffer
 	if err := run([]string{
-		"-devices", "400", "-seed", "3", "-scale-duration", "2s",
+		"scale", "-devices", "400", "-seed", "3", "-duration", "2s",
 		"-history-windows", "64", "-history-interval", "50ms", "-history-out", path,
 	}, &out); err != nil {
 		t.Fatal(err)
@@ -59,14 +59,14 @@ func TestScaleHistoryOut(t *testing.T) {
 	}
 }
 
-// TestServeHistoryEndpoints boots -serve with the ops plane and history on
+// TestServeHistoryEndpoints boots serve with the ops plane and history on
 // ephemeral ports and scrapes /api/history and /dash over real HTTP.
 func TestServeHistoryEndpoints(t *testing.T) {
 	out := &syncBuf{}
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-serve", "127.0.0.1:0", "-serve-for", "3s",
+			"serve", "-listen", "127.0.0.1:0", "-for", "3s",
 			"-ops-listen", "127.0.0.1:0",
 			"-history-windows", "32", "-history-interval", "50ms",
 		}, out)
@@ -125,10 +125,11 @@ func TestHistoryFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-devices", "100", "-history-windows", "0"}, "-history-windows must be at least 1"},
-		{[]string{"-devices", "100", "-history-interval", "-1s"}, "-history-interval must be positive"},
-		{[]string{"-history-out", "x.json"}, "require a live run"},
-		{[]string{"-history-windows", "16", "-run", "F3"}, "require a live run"},
+		{[]string{"scale", "-devices", "100", "-history-windows", "0"}, "-history-windows must be at least 1"},
+		{[]string{"scale", "-devices", "100", "-history-interval", "-1s"}, "-history-interval must be positive"},
+		{[]string{"-history-out", "x.json"}, "flag provided but not defined: -history-out"},
+		{[]string{"-history-windows", "16", "-run", "F3"}, "flag provided but not defined: -history-windows"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-history-out", "x.json"}, "flag provided but not defined: -history-out"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

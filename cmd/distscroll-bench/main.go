@@ -1,6 +1,8 @@
 // Command distscroll-bench regenerates every figure and experiment of the
 // DistScroll paper reproduction (see DESIGN.md Section 4) and prints the
-// resulting charts, tables and metrics.
+// resulting charts, tables and metrics. Four subcommands run the platform
+// around the reproduction; each takes only its own flags
+// (distscroll-bench <command> -h lists them).
 //
 // Usage:
 //
@@ -8,16 +10,17 @@
 //	distscroll-bench -run F4,E3      # run selected experiments
 //	distscroll-bench -seed 42        # change the master seed
 //	distscroll-bench -o report.txt   # also write the report to a file
-//	distscroll-bench -fleet 64       # simulate a 64-device fleet instead
-//	distscroll-bench -fleet 64 -metrics              # + Prometheus dump
-//	distscroll-bench -fleet 64 -metrics-out rep.json # + JSON telemetry
-//	distscroll-bench -fleet 64 -reliable -loss 0.05  # ARQ on a 5%-loss link
-//	distscroll-bench -devices 100000 -ops-listen 127.0.0.1:9100  # live /metrics
-//	distscroll-bench -devices 100000 -slo-stall 10s  # watchdog on the scale run
-//	distscroll-bench -devices 100000 -ops-listen 127.0.0.1:9100 -history-windows 300  # /api/history + /dash
-//	distscroll-bench -devices 100000 -history-out hist.json      # history replay file
-//	distscroll-bench -serve 127.0.0.1:9200 -hub-shards 2         # networked ingest hub
-//	distscroll-bench -saturate -connect 127.0.0.1:9200 -conns 4  # load generator against it
+//	distscroll-bench fleet -devices 64                       # a 64-device session fleet
+//	distscroll-bench fleet -devices 64 -metrics              # + Prometheus dump
+//	distscroll-bench fleet -devices 64 -metrics-out rep.json # + JSON telemetry
+//	distscroll-bench fleet -devices 64 -reliable -loss 0.05  # ARQ on a 5%-loss link
+//	distscroll-bench scale -devices 1000,10000,100000        # scale sweep
+//	distscroll-bench scale -devices 100000 -ops-listen 127.0.0.1:9100  # live /metrics
+//	distscroll-bench scale -devices 100000 -slo-stall 10s  # watchdog on the scale run
+//	distscroll-bench scale -devices 100000 -ops-listen 127.0.0.1:9100 -history-windows 300  # /api/history + /dash
+//	distscroll-bench scale -devices 100000 -history-out hist.json      # history replay file
+//	distscroll-bench serve -listen 127.0.0.1:9200 -shards 2            # networked ingest hub
+//	distscroll-bench load -connect 127.0.0.1:9200 -conns 4             # load generator against it
 //
 // Performance numbers come from the perfbench module (perfbench/run.sh),
 // not from this command.
@@ -40,6 +43,7 @@ import (
 	"github.com/hcilab/distscroll/internal/history"
 	"github.com/hcilab/distscroll/internal/hubnet"
 	"github.com/hcilab/distscroll/internal/ops"
+	"github.com/hcilab/distscroll/internal/rf"
 	"github.com/hcilab/distscroll/internal/telemetry"
 	"github.com/hcilab/distscroll/internal/tracing"
 )
@@ -51,304 +55,90 @@ func main() {
 	}
 }
 
+// commands maps each subcommand to its entry point; without one, the
+// arguments belong to the paper report.
+var commands = map[string]func(args []string, stdout io.Writer) error{
+	"fleet": fleetCmd,
+	"scale": scaleCmd,
+	"serve": serveCmd,
+	"load":  loadCmd,
+}
+
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("distscroll-bench", flag.ContinueOnError)
-	// Usage and parse errors go to stdout so the help text is part of the
-	// tool's pinned, testable output.
+	cmd := reportCmd
+	if len(args) > 0 {
+		if c, ok := commands[args[0]]; ok {
+			cmd, args = c, args[1:]
+		}
+	}
+	if err := cmd(args, stdout); err != flag.ErrHelp {
+		return err
+	}
+	return nil
+}
+
+// newFlagSet returns one command's flag set. Usage and parse errors go to
+// stdout so the help text is part of the tool's pinned, testable output.
+func newFlagSet(name, about string, stdout io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	var (
-		runList   = fs.String("run", "", "comma-separated experiment ids (default: all)")
-		seed      = fs.Uint64("seed", 1, "master random seed")
-		outPath   = fs.String("o", "", "also write the report to this file")
-		csvDir    = fs.String("csv", "", "write raw study CSVs (trials, conditions) into this directory")
-		fleetN    = fs.Int("fleet", 0, "simulate a fleet of N devices against one hub instead of the experiments")
-		fleetWrk  = fs.Int("workers", 0, "bound on concurrently simulating fleet devices (0 = one goroutine per device)")
-		devicesN  = fs.Int("devices", 0, "simulate N struct-of-arrays scale devices (timing-wheel stripes) and print the throughput summary")
-		scaleList = fs.String("scale", "", "comma-separated device counts for a scale sweep (e.g. 1000,10000,100000)")
-		scaleDur  = fs.Duration("scale-duration", 10*time.Second, "virtual time each scale device simulates")
-		metrics   = fs.Bool("metrics", false, "instrument the fleet and append a Prometheus-format metrics dump to the report")
-		metOut    = fs.String("metrics-out", "", "write a JSON telemetry report (per-device counters, latency histograms) to this file")
-		reliable  = fs.Bool("reliable", false, "wrap every fleet device's RF channel in the ARQ retransmission layer (guaranteed in-order delivery)")
-		loss      = fs.Float64("loss", -1, "override the fleet link loss probability (default: the model's stock loss)")
-		burst     = fs.Float64("burst", 0, "per-frame probability of a burst dropping several consecutive frames")
-		burstLen  = fs.Int("burst-len", 0, "frames dropped per burst (0 = model default)")
-		ackLoss   = fs.Float64("ack-loss", 0, "loss probability of the reliable-mode ack back-channel")
-		traceOut  = fs.String("trace-out", "", "record frame-level causal spans and write a Perfetto/Chrome trace JSON to this file (open in ui.perfetto.dev)")
-		flightRec = fs.Bool("flight-recorder", false, "bounded per-device trace rings: anomalies (abandoned frames, seq gaps, SLO breaches) dump the last events to stderr")
-		traceSLO  = fs.Duration("trace-slo", 0, "end-to-end latency SLO; a frame exceeding it raises a flight-recorder anomaly (0 = off)")
-		opsListen = fs.String("ops-listen", "", "serve the live ops plane (/metrics, /vars, /healthz, /debug/pprof) on this address during a -fleet or scale run (e.g. 127.0.0.1:9100; port 0 picks one)")
-		sloP99    = fs.Float64("slo-p99", 0, "SLO watchdog: breach when the windowed e2e latency p99 exceeds this many milliseconds (0 = off)")
-		sloMinFPS = fs.Float64("slo-min-fps", 0, "SLO watchdog: breach when decoded frames per second drop below this floor (0 = off)")
-		sloStall  = fs.Duration("slo-stall", 0, "SLO watchdog: breach when the run's progress clock stops advancing for this long (0 = off)")
-		sloEvery  = fs.Duration("slo-interval", time.Second, "SLO watchdog evaluation interval")
-		histWin   = fs.Int("history-windows", 0, "retain a rolling telemetry history of this many sampling windows (0 = default 120); served at /api/history and the /dash dashboard with -ops-listen, attached to SLO breaches as pre/post forensics")
-		histEvery = fs.Duration("history-interval", time.Second, "telemetry history sampling interval")
-		histOut   = fs.String("history-out", "", "write the retained telemetry history as JSON to this file when the run ends (implies history)")
-		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-		rtTrace   = fs.String("runtime-trace", "", "write a Go runtime execution trace of the run to this file (go tool trace)")
-		serveAddr = fs.String("serve", "", "run the networked hub: accept frame-ingest connections on this address (e.g. 127.0.0.1:9200; port 0 picks one) instead of simulating")
-		serveFor  = fs.Duration("serve-for", 0, "with -serve: stop after this long (0 = serve until SIGINT/SIGTERM)")
-		hubShards = fs.Int("hub-shards", 0, "with -serve: number of hub shards; frames route by device id modulo the shard count (default 1)")
-		connect   = fs.String("connect", "", "send frames to a hubnet server at this address instead of the in-process hub (-fleet forwards each device's frames; -devices/-scale export one stream per worker; -saturate points the load generator at it)")
-		saturate  = fs.Bool("saturate", false, "with -connect: run the load generator, blasting freshly encoded frames at a -serve process")
-		conns     = fs.Int("conns", 2, "with -saturate -connect: load-generator connections, each streaming a disjoint device range")
-		satDur    = fs.Duration("saturate-duration", 5*time.Second, "with -saturate -connect: how long the load generator streams frames")
-		ingestPL  = fs.Bool("ingest-pipeline", true, "with -serve: hand decoded frames to per-shard ring workers in batches (false = direct per-frame consume on the connection goroutine)")
-		ringSlots = fs.Int("ring-slots", 0, "with -serve: per-shard ring capacity in batches (0 = default 256)")
-		ringBatch = fs.Int("ring-batch", 0, "with -serve: frames per ring hand-off batch (0 = default 64)")
-		ringFull  = fs.String("ring-policy", "block", "with -serve: what a full shard ring does to its producer — block (lossless backpressure) or drop (shed batches, count them)")
-	)
+	fs.Usage = func() {
+		fmt.Fprintf(stdout, "Usage: %s [flags]\n\n%s\n\nFlags:\n", name, about)
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// parse parses args into fs and rejects leftover arguments, such as a
+// command placed after a flag or a misspelt one.
+func parse(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
 		return err
 	}
-
-	// Scale-flag validation: a silent zero-device run would report an empty
-	// curve, so reject it loudly; an over-provisioned worker pool is legal
-	// but wasteful, so warn.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	devicesSet := set["devices"]
-	if devicesSet && *devicesN < 1 {
-		return fmt.Errorf("-devices must be at least 1, got %d", *devicesN)
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; a command (fleet, scale, serve, load) goes before any flag", fs.Arg(0))
 	}
-	sweep, err := parseScaleList(*scaleList)
-	if err != nil {
+	return nil
+}
+
+const reportAbout = `Regenerates the paper's figures and experiments and prints the report.
+
+Commands (distscroll-bench <command> -h lists each one's flags):
+  fleet   simulate a fleet of full devices against one hub
+  scale   sweep struct-of-arrays scale devices for throughput
+  serve   run the networked frame-ingest hub
+  load    stream generated frames at a serve process`
+
+// reportCmd is the bare command: the paper reproduction report.
+func reportCmd(args []string, stdout io.Writer) error {
+	fs := newFlagSet("distscroll-bench", reportAbout, stdout)
+	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
+	seed := fs.Uint64("seed", 1, "master random seed")
+	outPath := fs.String("o", "", "also write the report to this file")
+	csvDir := fs.String("csv", "", "write raw study CSVs (trials, conditions) into this directory")
+	var prof profOpts
+	prof.register(fs)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	if *conns < 1 {
-		return fmt.Errorf("-conns: counts must be at least 1, got %d", *conns)
-	}
-	if *conns > saturateDevices {
-		return fmt.Errorf("-conns: the load generator carries %d devices; %d connections would leave some idle", saturateDevices, *conns)
-	}
-	if *satDur <= 0 {
-		return fmt.Errorf("-saturate-duration must be positive, got %v", *satDur)
-	}
-	if devicesSet && *fleetWrk > *devicesN {
-		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; extra workers will idle\n", *fleetWrk, *devicesN)
-	}
+	return prof.run(func() error {
+		return runReport(*runList, *seed, *outPath, *csvDir, stdout)
+	})
+}
 
-	scaleMode := devicesSet || len(sweep) > 0
-	sloSet := *sloP99 > 0 || *sloMinFPS > 0 || *sloStall > 0
-	histSet := set["history-windows"] || set["history-interval"] || *histOut != ""
-	if set["history-windows"] && *histWin < 1 {
-		return fmt.Errorf("-history-windows must be at least 1, got %d", *histWin)
-	}
-	if *histEvery <= 0 {
-		return fmt.Errorf("-history-interval must be positive, got %v", *histEvery)
-	}
-	opsSet := *opsListen != "" || sloSet || histSet
-	metricsSet := *metrics || *metOut != ""
-	if scaleMode && *fleetN > 0 {
-		return fmt.Errorf("-fleet cannot be combined with the scale flags (-devices/-scale); pick one path")
-	}
-	if scaleMode && (*reliable || *burst > 0 || *burstLen > 0 || *ackLoss > 0) {
-		return fmt.Errorf("-reliable/-burst/-burst-len/-ack-loss shape the session fleet's link; the scale path models loss via -loss only")
-	}
-	if opsSet && !scaleMode && *fleetN <= 0 && *serveAddr == "" {
-		return fmt.Errorf("-ops-listen, -slo-* and -history-* flags require a live run (-fleet, -devices, -scale or -serve)")
-	}
-	if (*traceOut != "" || *flightRec || *traceSLO > 0) && *fleetN <= 0 {
-		return fmt.Errorf("tracing flags (-trace-out, -flight-recorder, -trace-slo) require -fleet")
-	}
-
-	// Flag-combination validation, networked-hub and experiment-path edition:
-	// every combination that would silently ignore a flag errors instead.
-	simMode := *fleetN > 0 || scaleMode
-	serveSet := *serveAddr != ""
-	connectSet := *connect != ""
-	switch {
-	case serveSet && connectSet:
-		return fmt.Errorf("-serve and -connect are mutually exclusive; run the server in one process and point a second process at it")
-	case serveSet && simMode:
-		return fmt.Errorf("-serve runs the ingest server only; simulate in a second process with -connect")
-	case serveSet && *saturate:
-		return fmt.Errorf("-saturate measures from the client side; run -serve in one process and -saturate -connect in another")
-	case serveSet && (set["run"] || *csvDir != "" || *outPath != ""):
-		return fmt.Errorf("-run/-csv/-o belong to a simulation run; -serve does not run one")
-	case serveSet && (*reliable || set["loss"] || *burst > 0 || *burstLen > 0 || *ackLoss > 0):
-		return fmt.Errorf("-reliable/-loss/-burst/-burst-len/-ack-loss shape a simulated link; they do not apply to -serve")
-	case serveSet && set["workers"]:
-		return fmt.Errorf("-workers bounds simulation concurrency; it does not apply to -serve")
-	case serveSet && metricsSet:
-		return fmt.Errorf("-metrics/-metrics-out report a simulation; scrape the server live via -ops-listen instead")
-	case !serveSet && set["hub-shards"]:
-		return fmt.Errorf("-hub-shards configures the -serve ingest server")
-	case !serveSet && set["serve-for"]:
-		return fmt.Errorf("-serve-for bounds a -serve run")
-	case set["hub-shards"] && *hubShards < 1:
-		return fmt.Errorf("-hub-shards must be at least 1, got %d", *hubShards)
-	case !serveSet && (set["ingest-pipeline"] || set["ring-slots"] || set["ring-batch"] || set["ring-policy"]):
-		return fmt.Errorf("-ingest-pipeline and -ring-* tune the -serve ingest server")
-	case set["ring-slots"] && *ringSlots < 1:
-		return fmt.Errorf("-ring-slots must be at least 1, got %d", *ringSlots)
-	case set["ring-batch"] && *ringBatch < 1:
-		return fmt.Errorf("-ring-batch must be at least 1, got %d", *ringBatch)
-	case *ringFull != "block" && *ringFull != "drop":
-		return fmt.Errorf("-ring-policy must be block or drop, got %q", *ringFull)
-	case connectSet && !simMode && !*saturate:
-		return fmt.Errorf("-connect streams a simulation's frames; combine it with -fleet, -devices, -scale or -saturate")
-	case connectSet && *reliable:
-		return fmt.Errorf("-reliable needs the in-process ack loop; acks cannot cross the -connect byte stream")
-	}
-	switch {
-	case *saturate && simMode:
-		return fmt.Errorf("-saturate runs its own ingest workload; it cannot be combined with -fleet or the scale flags")
-	case *saturate && (set["run"] || *csvDir != "" || *outPath != ""):
-		return fmt.Errorf("-run/-csv/-o belong to the experiment path; -saturate does not run it")
-	case *saturate && metricsSet:
-		return fmt.Errorf("-metrics/-metrics-out report a simulation; -saturate measures ingest throughput only")
-	case *saturate && !connectSet:
-		return fmt.Errorf("-saturate is the load generator and needs -connect pointing at a -serve process")
-	case !*saturate && (set["conns"] || set["saturate-duration"]):
-		return fmt.Errorf("-conns/-saturate-duration parameterise a -saturate run")
-	case simMode && set["run"]:
-		return fmt.Errorf("-run selects experiments; it cannot be combined with -fleet or the scale flags")
-	case simMode && *csvDir != "":
-		return fmt.Errorf("-csv writes the experiment path's study CSVs; it cannot be combined with -fleet or the scale flags")
-	case scaleMode && *outPath != "":
-		return fmt.Errorf("-o writes the experiment or fleet report; the scale path prints to stdout only")
-	case set["workers"] && !simMode:
-		return fmt.Errorf("-workers bounds a -fleet or scale run")
-	case *burstLen > 0 && *burst <= 0:
-		return fmt.Errorf("-burst-len sets the length of -burst bursts; set -burst > 0 as well")
-	case *ackLoss > 0 && !*reliable:
-		return fmt.Errorf("-ack-loss drops acks on the -reliable back-channel; add -reliable")
-	case set["loss"] && !simMode:
-		return fmt.Errorf("-loss shapes the simulated link; combine it with -fleet, -devices or -scale")
-	}
-
-	// One ops-plane parameter block serves every live-run path.
-	opsFlags := opsOpts{
-		listen:       *opsListen,
-		p99:          *sloP99,
-		minFPS:       *sloMinFPS,
-		stall:        *sloStall,
-		interval:     *sloEvery,
-		history:      histSet,
-		histWindows:  *histWin,
-		histInterval: *histEvery,
-		histOut:      *histOut,
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *rtTrace != "" {
-		f, err := os.Create(*rtTrace)
-		if err != nil {
-			return fmt.Errorf("runtime-trace: %w", err)
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			return fmt.Errorf("runtime-trace: %w", err)
-		}
-		defer trace.Stop()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
-			}
-		}()
-	}
-
-	if serveSet {
-		shards := *hubShards
-		if shards < 1 {
-			shards = 1
-		}
-		onFull := hubnet.BlockOnFull
-		if *ringFull == "drop" {
-			onFull = hubnet.DropOnFull
-		}
-		return runServe(serveOpts{
-			addr:      *serveAddr,
-			shards:    shards,
-			dur:       *serveFor,
-			pipeline:  *ingestPL,
-			ringSlots: *ringSlots,
-			ringBatch: *ringBatch,
-			onFull:    onFull,
-			ops:       opsFlags,
-		}, stdout)
-	}
-
-	if *saturate {
-		return runSaturateLoad(loadGenOpts{addr: *connect, conns: *conns, dur: *satDur}, stdout)
-	}
-
-	if scaleMode {
-		if devicesSet {
-			sweep = append([]int{*devicesN}, sweep...)
-		}
-		if metricsSet && len(sweep) > 1 {
-			return fmt.Errorf("-metrics/-metrics-out merge one run's telemetry; use a single-point scale run (-devices N), not a %d-point sweep", len(sweep))
-		}
-		return runScaleSweep(scaleSweepOpts{
-			sweep:      sweep,
-			seed:       *seed,
-			workers:    *fleetWrk,
-			dur:        *scaleDur,
-			loss:       *loss,
-			metrics:    *metrics,
-			metricsOut: *metOut,
-			connect:    *connect,
-			ops:        opsFlags,
-		}, stdout)
-	}
-
-	if *fleetN > 0 {
-		return runFleet(fleetOpts{
-			devices:    *fleetN,
-			workers:    *fleetWrk,
-			seed:       *seed,
-			outPath:    *outPath,
-			metrics:    *metrics,
-			metricsOut: *metOut,
-			reliable:   *reliable,
-			loss:       *loss,
-			burst:      *burst,
-			burstLen:   *burstLen,
-			ackLoss:    *ackLoss,
-			traceOut:   *traceOut,
-			flightRec:  *flightRec,
-			traceSLO:   *traceSLO,
-			connect:    *connect,
-			ops:        opsFlags,
-		}, stdout)
-	}
-
-	if *csvDir != "" {
-		if err := writeCSVs(*csvDir, *seed); err != nil {
+func runReport(runList string, seed uint64, outPath, csvDir string, stdout io.Writer) error {
+	if csvDir != "" {
+		if err := writeCSVs(csvDir, seed); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote trials.csv and conditions.csv to %s\n", *csvDir)
+		fmt.Fprintf(stdout, "wrote trials.csv and conditions.csv to %s\n", csvDir)
 	}
 
 	var runners []experiments.Runner
-	if *runList == "" {
+	if runList == "" {
 		runners = experiments.All()
 	} else {
-		for _, id := range strings.Split(*runList, ",") {
+		for _, id := range strings.Split(runList, ",") {
 			r, ok := experiments.Find(strings.TrimSpace(id))
 			if !ok {
 				return fmt.Errorf("unknown experiment %q (known: F1-F5, E1-E6, A1-A3)", id)
@@ -358,10 +148,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var report strings.Builder
-	fmt.Fprintf(&report, "DistScroll reproduction report (seed %d)\n", *seed)
+	fmt.Fprintf(&report, "DistScroll reproduction report (seed %d)\n", seed)
 	fmt.Fprintf(&report, "%s\n\n", strings.Repeat("=", 60))
 	for _, r := range runners {
-		rep, err := r.Run(*seed)
+		rep, err := r.Run(seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.ID, err)
 		}
@@ -369,13 +159,74 @@ func run(args []string, stdout io.Writer) error {
 		report.WriteString("\n")
 	}
 
-	if _, err := io.WriteString(stdout, report.String()); err != nil {
+	return writeReport(stdout, report.String(), outPath)
+}
+
+// writeReport prints report and, with outPath set, also writes it there.
+func writeReport(stdout io.Writer, report, outPath string) error {
+	if _, err := io.WriteString(stdout, report); err != nil {
 		return err
 	}
-	if *outPath != "" {
-		if err := os.WriteFile(*outPath, []byte(report.String()), 0o644); err != nil {
+	if outPath != "" {
+		if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
 			return fmt.Errorf("write report: %w", err)
 		}
+	}
+	return nil
+}
+
+// profOpts carries the profiling flags every command takes.
+type profOpts struct {
+	cpu, mem, trace string
+}
+
+func (p *profOpts) register(fs *flag.FlagSet) {
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write a pprof heap profile (post-run) to this file")
+	fs.StringVar(&p.trace, "runtime-trace", "", "write a Go runtime execution trace of the run to this file (go tool trace)")
+}
+
+// run calls fn under the requested profilers.
+func (p profOpts) run(fn func() error) error {
+	if p.cpu != "" {
+		f, err := os.Create(p.cpu)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if p.trace != "" {
+		f, err := os.Create(p.trace)
+		if err != nil {
+			return fmt.Errorf("runtime-trace: %w", err)
+		}
+		defer f.Close()
+		if err := trace.Start(f); err != nil {
+			return fmt.Errorf("runtime-trace: %w", err)
+		}
+		defer trace.Stop()
+	}
+	if p.mem != "" {
+		defer func() {
+			if err := writeFile(p.mem, pprof.WriteHeapProfile); err != nil {
+				fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
+			}
+		}()
+	}
+	return fn()
+}
+
+// checkSim validates the link and concurrency flags fleet and scale share.
+func checkSim(workers int, loss float64) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers must not be negative (0 = default), got %d", workers)
+	}
+	if loss < 0 || loss > 1 {
+		return fmt.Errorf("-loss must be in [0,1], got %v", loss)
 	}
 	return nil
 }
@@ -399,8 +250,56 @@ type fleetOpts struct {
 	ops              opsOpts
 }
 
+func fleetCmd(args []string, stdout io.Writer) error {
+	var o fleetOpts
+	var prof profOpts
+	fs := newFlagSet("distscroll-bench fleet",
+		"Simulates a fleet of full devices (sensor, firmware, radio) against one hub\nand prints per-device and aggregate frame accounting.", stdout)
+	fs.IntVar(&o.devices, "devices", 0, "number of simulated devices (required)")
+	fs.IntVar(&o.workers, "workers", 0, "bound on concurrently simulating devices (0 = one goroutine per device)")
+	fs.Uint64Var(&o.seed, "seed", 1, "master random seed")
+	fs.StringVar(&o.outPath, "o", "", "also write the report to this file")
+	fs.BoolVar(&o.metrics, "metrics", false, "instrument the fleet and append a Prometheus-format metrics dump to the report")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a JSON telemetry report (per-device counters, latency histograms) to this file")
+	fs.BoolVar(&o.reliable, "reliable", false, "wrap every device's RF channel in the ARQ retransmission layer (guaranteed in-order delivery)")
+	fs.Float64Var(&o.loss, "loss", rf.DefaultLinkConfig().LossProb, "per-frame loss probability of each device's link")
+	fs.Float64Var(&o.burst, "burst", 0, "per-frame probability of a burst dropping several consecutive frames")
+	fs.IntVar(&o.burstLen, "burst-len", 0, "frames dropped per burst (0 = model default)")
+	fs.Float64Var(&o.ackLoss, "ack-loss", 0, "loss probability of the reliable-mode ack back-channel")
+	fs.StringVar(&o.traceOut, "trace-out", "", "record frame-level causal spans and write a Perfetto/Chrome trace JSON to this file (open in ui.perfetto.dev)")
+	fs.BoolVar(&o.flightRec, "flight-recorder", false, "bounded per-device trace rings: anomalies (abandoned frames, seq gaps, SLO breaches) dump the last events to stderr")
+	fs.DurationVar(&o.traceSLO, "trace-slo", 0, "end-to-end latency SLO; a frame exceeding it raises a flight-recorder anomaly (0 = off)")
+	fs.StringVar(&o.connect, "connect", "", "forward every device's frames to a serve process at this address instead of the in-process hub")
+	o.ops.register(fs)
+	prof.register(fs)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	switch {
+	case o.devices < 1:
+		return fmt.Errorf("-devices must be at least 1, got %d", o.devices)
+	case o.traceSLO < 0:
+		return fmt.Errorf("-trace-slo must not be negative, got %v", o.traceSLO)
+	case o.burstLen < 0:
+		return fmt.Errorf("-burst-len must not be negative (0 = model default), got %d", o.burstLen)
+	case o.burstLen > 0 && o.burst <= 0:
+		return fmt.Errorf("-burst-len sets the length of -burst bursts; set -burst > 0 as well")
+	case o.ackLoss > 0 && !o.reliable:
+		return fmt.Errorf("-ack-loss drops acks on the -reliable back-channel; add -reliable")
+	case o.connect != "" && o.reliable:
+		return fmt.Errorf("-reliable needs the in-process ack loop; acks cannot cross the -connect byte stream")
+	}
+	if err := checkSim(o.workers, o.loss); err != nil {
+		return err
+	}
+	if err := o.ops.check(fs); err != nil {
+		return err
+	}
+	return prof.run(func() error { return runFleet(o, stdout) })
+}
+
 // opsOpts carries the live-ops-plane flags (-ops-listen, -slo-*,
-// -history-*).
+// -history-*) of the fleet, scale and serve commands.
 type opsOpts struct {
 	listen       string
 	p99          float64
@@ -411,6 +310,38 @@ type opsOpts struct {
 	histWindows  int
 	histInterval time.Duration
 	histOut      string
+}
+
+func (o *opsOpts) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.listen, "ops-listen", "", "serve the live ops plane (/metrics, /vars, /healthz, /debug/pprof) on this address during the run (e.g. 127.0.0.1:9100; port 0 picks one)")
+	fs.Float64Var(&o.p99, "slo-p99", 0, "SLO watchdog: breach when the windowed e2e latency p99 exceeds this many milliseconds (0 = off)")
+	fs.Float64Var(&o.minFPS, "slo-min-fps", 0, "SLO watchdog: breach when decoded frames per second drop below this floor (0 = off)")
+	fs.DurationVar(&o.stall, "slo-stall", 0, "SLO watchdog: breach when the run's progress clock stops advancing for this long (0 = off)")
+	fs.DurationVar(&o.interval, "slo-interval", time.Second, "SLO watchdog evaluation interval")
+	fs.IntVar(&o.histWindows, "history-windows", history.DefaultWindows, "retain a rolling telemetry history of this many sampling windows; served at /api/history and the /dash dashboard with -ops-listen, attached to SLO breaches as pre/post forensics")
+	fs.DurationVar(&o.histInterval, "history-interval", time.Second, "telemetry history sampling interval")
+	fs.StringVar(&o.histOut, "history-out", "", "write the retained telemetry history as JSON to this file when the run ends")
+}
+
+// check validates the parsed ops flags. Giving any -history-* flag turns
+// the history store on.
+func (o *opsOpts) check(fs *flag.FlagSet) error {
+	fs.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "history-") {
+			o.history = true
+		}
+	})
+	switch {
+	case o.p99 < 0 || o.minFPS < 0 || o.stall < 0:
+		return fmt.Errorf("-slo-p99, -slo-min-fps and -slo-stall must not be negative (0 = off)")
+	case o.interval <= 0:
+		return fmt.Errorf("-slo-interval must be positive, got %v", o.interval)
+	case o.histWindows < 1:
+		return fmt.Errorf("-history-windows must be at least 1, got %d", o.histWindows)
+	case o.histInterval <= 0:
+		return fmt.Errorf("-history-interval must be positive, got %v", o.histInterval)
+	}
+	return nil
 }
 
 // enabled reports whether any ops-plane feature was requested.
@@ -510,7 +441,10 @@ func (p *opsPlane) close(report io.Writer) {
 	if p.hist != nil && p.histOut != "" {
 		path := p.histOut
 		p.histOut = "" // close runs twice (explicit + deferred); write once
-		if err := writeHistoryJSON(path, p.hist); err != nil {
+		// The file holds the full retained history as the /api/history
+		// JSON document.
+		err := writeFile(path, func(w io.Writer) error { return p.hist.WriteJSON(w, history.Query{}) })
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "distscroll-bench: history-out: %v\n", err)
 		} else {
 			fmt.Fprintf(report, "wrote telemetry history (%d windows captured) to %s\n",
@@ -519,33 +453,37 @@ func (p *opsPlane) close(report io.Writer) {
 	}
 }
 
-// writeHistoryJSON dumps the full retained history as the /api/history
-// JSON document.
-func writeHistoryJSON(path string, st *history.Store) error {
+// writeFile creates path, fills it through write and closes it, returning
+// the first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := st.WriteJSON(f, history.Query{}); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
+// writeJSON writes v to path as one indented JSON document.
+func writeJSON(path string, v any) error {
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+}
+
 // runFleet simulates n devices concurrently against one hub and prints the
 // per-device and aggregate accounting, optionally with full telemetry.
 func runFleet(o fleetOpts, stdout io.Writer) error {
-	cfg := fleet.Config{Devices: o.devices, Seed: o.seed, Workers: o.workers, Reliable: o.reliable}
-	if o.loss >= 0 || o.burst > 0 || o.ackLoss > 0 {
-		cfg.Core = core.DefaultConfig()
-		if o.loss >= 0 {
-			cfg.Core.Link.LossProb = o.loss
-		}
-		cfg.Core.Link.BurstLossProb = o.burst
-		cfg.Core.Link.BurstLossLen = o.burstLen
-		cfg.Core.Link.AckLossProb = o.ackLoss
-	}
+	cfg := fleet.Config{Devices: o.devices, Seed: o.seed, Workers: o.workers, Reliable: o.reliable, Core: core.DefaultConfig()}
+	cfg.Core.Link.LossProb = o.loss
+	cfg.Core.Link.BurstLossProb = o.burst
+	cfg.Core.Link.BurstLossLen = o.burstLen
+	cfg.Core.Link.AckLossProb = o.ackLoss
 	var tracer *tracing.Tracer
 	if o.traceOut != "" || o.flightRec || o.traceSLO > 0 {
 		tcfg := tracing.Config{SLO: o.traceSLO}
@@ -658,27 +596,19 @@ func runFleet(o fleetOpts, stdout io.Writer) error {
 		}
 	}
 	if o.metricsOut != "" {
-		if err := writeTelemetryJSON(o.metricsOut, o.seed, results, tot, snap); err != nil {
-			return err
+		if err := writeJSON(o.metricsOut, newTelemetryReport(o.seed, results, tot, snap)); err != nil {
+			return fmt.Errorf("telemetry report: %w", err)
 		}
 		fmt.Fprintf(&report, "wrote telemetry report to %s\n", o.metricsOut)
 	}
 	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
 		meta := map[string]any{
 			"tool":    "distscroll-bench",
 			"devices": o.devices,
 			"seed":    o.seed,
 			"decoded": tot.Decoded,
 		}
-		if err := tracer.WritePerfetto(f, meta); err != nil {
-			f.Close()
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(o.traceOut, func(w io.Writer) error { return tracer.WritePerfetto(w, meta) }); err != nil {
 			return fmt.Errorf("trace-out: %w", err)
 		}
 		fmt.Fprintf(&report, "wrote Perfetto trace to %s (open in ui.perfetto.dev)\n", o.traceOut)
@@ -687,15 +617,7 @@ func runFleet(o fleetOpts, stdout io.Writer) error {
 		fmt.Fprintf(&report, "flight recorder: %d anomaly dump(s) written to stderr\n", tracer.Dumps())
 	}
 
-	if _, err := io.WriteString(stdout, report.String()); err != nil {
-		return err
-	}
-	if o.outPath != "" {
-		if err := os.WriteFile(o.outPath, []byte(report.String()), 0o644); err != nil {
-			return fmt.Errorf("write report: %w", err)
-		}
-	}
-	return nil
+	return writeReport(stdout, report.String(), o.outPath)
 }
 
 // deviceCounters is one device's frame accounting in the JSON report.
@@ -725,7 +647,7 @@ type telemetryReport struct {
 	Metrics   *telemetry.Snapshot `json:"metrics"`
 }
 
-func writeTelemetryJSON(path string, seed uint64, results []fleet.Result, tot fleet.Totals, snap *telemetry.Snapshot) error {
+func newTelemetryReport(seed uint64, results []fleet.Result, tot fleet.Totals, snap *telemetry.Snapshot) telemetryReport {
 	rep := telemetryReport{
 		Devices: len(results),
 		Seed:    seed,
@@ -748,15 +670,5 @@ func writeTelemetryJSON(path string, seed uint64, results []fleet.Result, tot fl
 			AcksLost:    res.Acks.AcksLost,
 		})
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry report: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return fmt.Errorf("telemetry report: %w", err)
-	}
-	return nil
+	return rep
 }

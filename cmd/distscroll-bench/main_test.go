@@ -79,7 +79,7 @@ func TestRunCaseInsensitiveIDs(t *testing.T) {
 
 func TestFleetMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "5", "-seed", "4", "-workers", "2"}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "5", "-seed", "4", "-workers", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -101,7 +101,7 @@ func TestFleetModeWritesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.txt")
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "2", "-o", path}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "2", "-o", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -117,7 +117,7 @@ func TestFleetMetricsOut(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "report.json")
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "6", "-seed", "2", "-metrics-out", path}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "6", "-seed", "2", "-metrics-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -164,7 +164,7 @@ func TestFleetMetricsOut(t *testing.T) {
 
 func TestFleetMetricsExposition(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "3", "-seed", "8", "-metrics"}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "3", "-seed", "8", "-metrics"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -183,7 +183,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 
 func TestScaleMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "500", "-seed", "3", "-scale-duration", "1s"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "500", "-seed", "3", "-duration", "1s"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -197,7 +197,7 @@ func TestScaleMode(t *testing.T) {
 
 func TestScaleSweepList(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scale", "100,200", "-scale-duration", "500ms"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "100,200", "-duration", "500ms"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -208,10 +208,10 @@ func TestScaleSweepList(t *testing.T) {
 
 func TestScaleValidationRejectsBadDevices(t *testing.T) {
 	for _, args := range [][]string{
-		{"-devices", "0"},
-		{"-devices", "-3"},
-		{"-scale", "100,0"},
-		{"-scale", "abc"},
+		{"scale", "-devices", "0"},
+		{"scale", "-devices", "-3"},
+		{"scale", "-devices", "100,0"},
+		{"scale", "-devices", "abc"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
@@ -222,7 +222,7 @@ func TestScaleValidationRejectsBadDevices(t *testing.T) {
 
 func TestScaleWarnsOnExcessWorkers(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "2", "-workers", "9", "-scale-duration", "100ms"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "2", "-workers", "9", "-duration", "100ms"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "warning: -workers 9 exceeds -devices 2") {

@@ -11,10 +11,10 @@ import (
 )
 
 // TestScaleMetricsExposition pins the PR-6 gap closed: -devices (the scale
-// path) honours -metrics and dumps the merged canonical names.
+// command) honours -metrics and dumps the merged canonical names.
 func TestScaleMetricsExposition(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "400", "-seed", "5", "-scale-duration", "2s", "-metrics"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "400", "-seed", "5", "-duration", "2s", "-metrics"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -37,7 +37,7 @@ func TestScaleMetricsOut(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "scale.json")
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "300", "-seed", "2", "-scale-duration", "1s", "-metrics-out", path}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "300", "-seed", "2", "-duration", "1s", "-metrics-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -64,22 +64,41 @@ func TestScaleMetricsOut(t *testing.T) {
 	}
 }
 
-// TestFlagComboValidation pins the rejection of flag combinations that
-// previously either silently did nothing or make no sense.
+// TestFlagComboValidation pins the rejection of flag values and
+// combinations that would otherwise silently do nothing, fall back to a
+// default, or make no sense. A flag of another command is not defined in
+// this one's flag set.
 func TestFlagComboValidation(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-fleet", "4", "-devices", "100"}, "-fleet cannot be combined"},
-		{[]string{"-fleet", "4", "-scale", "100"}, "-fleet cannot be combined"},
-		{[]string{"-devices", "100", "-reliable"}, "the scale path models loss via -loss"},
-		{[]string{"-scale", "100", "-burst", "0.1"}, "the scale path models loss via -loss"},
-		{[]string{"-devices", "100", "-ack-loss", "0.1"}, "the scale path models loss via -loss"},
-		{[]string{"-ops-listen", "127.0.0.1:0"}, "require a live run"},
-		{[]string{"-slo-stall", "5s"}, "require a live run"},
-		{[]string{"-slo-p99", "50", "-run", "F3"}, "require a live run"},
-		{[]string{"-scale", "100,200", "-metrics", "-scale-duration", "1s"}, "single-point scale run"},
+		{[]string{"fleet", "-devices", "4", "-duration", "1s"}, "flag provided but not defined: -duration"},
+		{[]string{"scale", "-devices", "100", "-fleet", "4"}, "flag provided but not defined: -fleet"},
+		{[]string{"scale", "-devices", "100", "-reliable"}, "flag provided but not defined: -reliable"},
+		{[]string{"scale", "-devices", "100", "-burst", "0.1"}, "flag provided but not defined: -burst"},
+		{[]string{"scale", "-devices", "100", "-ack-loss", "0.1"}, "flag provided but not defined: -ack-loss"},
+		{[]string{"-ops-listen", "127.0.0.1:0"}, "flag provided but not defined: -ops-listen"},
+		{[]string{"-slo-stall", "5s"}, "flag provided but not defined: -slo-stall"},
+		{[]string{"-slo-p99", "50", "-run", "F3"}, "flag provided but not defined: -slo-p99"},
+		{[]string{"scale", "-devices", "100,200", "-metrics", "-duration", "1s"}, "single-point scale run"},
+		{[]string{"flet", "-devices", "4"}, `unexpected argument "flet"`},
+		{[]string{"-seed", "2", "fleet", "-devices", "4"}, `unexpected argument "fleet"`},
+		{[]string{"fleet"}, "-devices must be at least 1"},
+		{[]string{"scale"}, "-devices is required"},
+		{[]string{"scale", "-devices", "100", "-duration", "-1s"}, "-duration must be positive"},
+		{[]string{"scale", "-devices", "100", "-duration", "0s"}, "-duration must be positive"},
+		{[]string{"scale", "-devices", "100", "-workers", "-3"}, "-workers must not be negative"},
+		{[]string{"fleet", "-devices", "2", "-workers", "-2"}, "-workers must not be negative"},
+		{[]string{"scale", "-devices", "100", "-loss", "-1"}, "-loss must be in [0,1]"},
+		{[]string{"scale", "-devices", "100", "-loss", "1.5"}, "-loss must be in [0,1]"},
+		{[]string{"fleet", "-devices", "2", "-loss", "-0.5"}, "-loss must be in [0,1]"},
+		{[]string{"fleet", "-devices", "2", "-trace-slo", "-1s"}, "-trace-slo must not be negative"},
+		{[]string{"fleet", "-devices", "2", "-burst", "0.3", "-burst-len", "-3"}, "-burst-len must not be negative"},
+		{[]string{"scale", "-devices", "100", "-slo-stall", "-1s"}, "-slo-stall must not be negative"},
+		{[]string{"fleet", "-devices", "2", "-slo-p99", "-5"}, "-slo-p99, -slo-min-fps and -slo-stall must not be negative"},
+		{[]string{"scale", "-devices", "100", "-slo-stall", "5s", "-slo-interval", "0"}, "-slo-interval must be positive"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-slo-interval", "-1s"}, "-slo-interval must be positive"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)
@@ -98,7 +117,7 @@ func TestScaleLossFlag(t *testing.T) {
 	dir := t.TempDir()
 	lossless := filepath.Join(dir, "lossless.json")
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "200", "-seed", "4", "-scale-duration", "2s", "-loss", "0", "-metrics-out", lossless}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "200", "-seed", "4", "-duration", "2s", "-loss", "0", "-metrics-out", lossless}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep scaleTelemetryReport
@@ -116,7 +135,7 @@ func TestScaleLossFlag(t *testing.T) {
 func TestOpsListenServesLiveRun(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{
-		"-devices", "500", "-seed", "6", "-scale-duration", "2s",
+		"scale", "-devices", "500", "-seed", "6", "-duration", "2s",
 		"-ops-listen", "127.0.0.1:0", "-slo-stall", "30s",
 	}, &out); err != nil {
 		t.Fatal(err)
@@ -147,7 +166,7 @@ func TestOpsListenServesLiveRun(t *testing.T) {
 func TestFleetOpsPlane(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{
-		"-fleet", "4", "-seed", "2",
+		"fleet", "-devices", "4", "-seed", "2",
 		"-slo-stall", "30s", "-slo-p99", "100000",
 	}, &out); err != nil {
 		t.Fatal(err)

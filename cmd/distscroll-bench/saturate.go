@@ -11,22 +11,46 @@ import (
 	"github.com/hcilab/distscroll/internal/rf"
 )
 
-// This file implements -saturate -connect: a network load generator. Each
-// connection blasts freshly encoded frames at a -serve process for
-// -saturate-duration, which is what the CI saturate-smoke job uses to put
-// real bytes through the ingest pipeline while scraping net_ring_* live.
-// Measured ingest throughput comes from perfbench's ingest-tcp workload.
+// This file implements the load command: a network load generator. Each
+// connection blasts freshly encoded frames at a serve process for -duration,
+// which is what the CI saturate-smoke job uses to put real bytes through
+// the ingest pipeline while scraping net_ring_* live. Measured ingest
+// throughput comes from perfbench's ingest-tcp workload.
 
 // saturateDevices is the device population the load generator splits
 // across its connections in disjoint contiguous ranges.
 const saturateDevices = 64
 
-// loadGenOpts parameterises -saturate -connect: the network load
-// generator the CI saturate-smoke job points at a -serve process.
+// loadGenOpts parameterises the load command.
 type loadGenOpts struct {
 	addr  string
 	conns int
 	dur   time.Duration
+}
+
+func loadCmd(args []string, stdout io.Writer) error {
+	var o loadGenOpts
+	var prof profOpts
+	fs := newFlagSet("distscroll-bench load",
+		"Streams freshly encoded frames at a serve process from several connections\nand prints how many it sent.", stdout)
+	fs.StringVar(&o.addr, "connect", "", "address of the serve process to stream frames at (required)")
+	fs.IntVar(&o.conns, "conns", 2, "connections, each streaming a disjoint device range")
+	fs.DurationVar(&o.dur, "duration", 5*time.Second, "how long to stream frames")
+	prof.register(fs)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	switch {
+	case o.addr == "":
+		return fmt.Errorf("the load generator needs -connect pointing at a serve process")
+	case o.conns < 1:
+		return fmt.Errorf("-conns: counts must be at least 1, got %d", o.conns)
+	case o.conns > saturateDevices:
+		return fmt.Errorf("-conns: the load generator carries %d devices; %d connections would leave some idle", saturateDevices, o.conns)
+	case o.dur <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", o.dur)
+	}
+	return prof.run(func() error { return runSaturateLoad(o, stdout) })
 }
 
 // loadGenRoundsPerFlush bounds the deadline-check cadence: each

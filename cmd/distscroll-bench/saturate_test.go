@@ -9,7 +9,7 @@ import (
 )
 
 // TestSaturateLoadAgainstServe is the load generator's end-to-end test:
-// a pipelined -serve process in one goroutine, -saturate -connect in
+// a pipelined serve command in one goroutine, load -connect in
 // another, and the server's post-run summary must account for exactly the
 // frames the generator reports, with ring batches proving the pipeline
 // carried them.
@@ -17,7 +17,7 @@ func TestSaturateLoadAgainstServe(t *testing.T) {
 	srvOut := &syncBuf{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-serve", "127.0.0.1:0", "-hub-shards", "2", "-serve-for", "3s"}, srvOut)
+		done <- run([]string{"serve", "-listen", "127.0.0.1:0", "-shards", "2", "-for", "3s"}, srvOut)
 	}()
 	addrRe := regexp.MustCompile(`serving frame ingest on (\S+) \(2 shard\(s\)\)`)
 	var addr string
@@ -33,11 +33,11 @@ func TestSaturateLoadAgainstServe(t *testing.T) {
 		t.Fatalf("server never announced its address:\n%s", srvOut.String())
 	}
 	if !strings.Contains(srvOut.String(), "ingest pipeline on") {
-		t.Fatalf("-serve default did not enable the pipeline:\n%s", srvOut.String())
+		t.Fatalf("serve default did not enable the pipeline:\n%s", srvOut.String())
 	}
 
 	var genOut bytes.Buffer
-	if err := run([]string{"-saturate", "-connect", addr, "-conns", "2", "-saturate-duration", "300ms"}, &genOut); err != nil {
+	if err := run([]string{"load", "-connect", addr, "-conns", "2", "-duration", "300ms"}, &genOut); err != nil {
 		t.Fatal(err)
 	}
 	sentRe := regexp.MustCompile(`streamed (\d+) frames`)

@@ -1,10 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,22 +13,75 @@ import (
 	"github.com/hcilab/distscroll/internal/telemetry"
 )
 
-// This file implements -devices / -scale: the devices-vs-throughput sweep
+// This file implements the scale command: the devices-vs-throughput sweep
 // over the struct-of-arrays fleet path (fleet.RunScale).
 
-// parseScaleList parses "-scale 1000,10000,..." into device counts.
-func parseScaleList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+// scaleSweepOpts parameterises a scale run, including the live ops plane
+// and the telemetry outputs.
+type scaleSweepOpts struct {
+	sweep      []int
+	seed       uint64
+	workers    int
+	dur        time.Duration
+	loss       float64
+	metrics    bool
+	metricsOut string
+	connect    string
+	ops        opsOpts
+}
+
+func scaleCmd(args []string, stdout io.Writer) error {
+	var o scaleSweepOpts
+	var prof profOpts
+	fs := newFlagSet("distscroll-bench scale",
+		"Simulates struct-of-arrays scale devices on timing-wheel stripes and prints\nthe devices-vs-throughput table, one row per device count.", stdout)
+	fs.Func("devices", "comma-separated device `counts`: one point (100000) or a sweep (1000,10000,100000); required", func(s string) (err error) {
+		o.sweep, err = parseDeviceList(s)
+		return err
+	})
+	fs.DurationVar(&o.dur, "duration", 10*time.Second, "virtual time each device simulates")
+	fs.IntVar(&o.workers, "workers", 0, "timing-wheel stripes, one goroutine each (0 = GOMAXPROCS)")
+	fs.Uint64Var(&o.seed, "seed", 1, "master random seed")
+	fs.Float64Var(&o.loss, "loss", defaultScaleLoss, "modelled per-frame loss probability")
+	fs.BoolVar(&o.metrics, "metrics", false, "append a Prometheus-format dump of the run's merged telemetry")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the run's throughput summary and merged telemetry as JSON to this file")
+	fs.StringVar(&o.connect, "connect", "", "stream every emitted frame to a serve process at this address, one connection per worker")
+	o.ops.register(fs)
+	prof.register(fs)
+	if err := parse(fs, args); err != nil {
+		return err
 	}
+	switch {
+	case len(o.sweep) == 0:
+		return fmt.Errorf("-devices is required")
+	case o.dur <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", o.dur)
+	case (o.metrics || o.metricsOut != "") && len(o.sweep) > 1:
+		return fmt.Errorf("-metrics/-metrics-out merge one run's telemetry; use a single-point scale run (-devices N), not a %d-point sweep", len(o.sweep))
+	}
+	if err := checkSim(o.workers, o.loss); err != nil {
+		return err
+	}
+	if err := o.ops.check(fs); err != nil {
+		return err
+	}
+	// An over-provisioned worker pool is legal but wasteful, so warn.
+	if least := slices.Min(o.sweep); o.workers > least {
+		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; extra workers will idle\n", o.workers, least)
+	}
+	return prof.run(func() error { return runScaleSweep(o, stdout) })
+}
+
+// parseDeviceList parses "1000,10000,..." into device counts.
+func parseDeviceList(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("-scale: %q is not a device count", part)
+			return nil, fmt.Errorf("%q is not a device count", part)
 		}
 		if n < 1 {
-			return nil, fmt.Errorf("-scale: device counts must be at least 1, got %d", n)
+			return nil, fmt.Errorf("device counts must be at least 1, got %d", n)
 		}
 		out = append(out, n)
 	}
@@ -39,27 +91,23 @@ func parseScaleList(s string) ([]int, error) {
 // defaultScaleLoss is the modelled per-frame loss when -loss is not given.
 const defaultScaleLoss = 0.01
 
-// runScalePoint simulates one device count on the scale path. A negative
-// loss takes the stock model loss; reg, when non-nil, receives the live
-// striped telemetry; connect, when non-empty, streams every emitted frame
-// to a hubnet server over one TCP connection per worker, flushed once per
-// stripe sweep. Slab slot s maps to wire device id s+1, matching the
-// session fleet's numbering.
-func runScalePoint(devices int, seed uint64, workers int, dur time.Duration, loss float64, reg *telemetry.Registry, connect string) (fleet.ScaleResult, error) {
-	if loss < 0 {
-		loss = defaultScaleLoss
-	}
+// runScalePoint simulates one device count on the scale path. reg, when
+// non-nil, receives the live striped telemetry; with o.connect set, every
+// emitted frame streams to a hubnet server over one TCP connection per
+// worker, flushed once per stripe sweep. Slab slot s maps to wire device
+// id s+1, matching the session fleet's numbering.
+func runScalePoint(o scaleSweepOpts, devices int, reg *telemetry.Registry) (fleet.ScaleResult, error) {
 	cfg := fleet.ScaleConfig{
 		Devices:  devices,
-		Seed:     seed,
-		Workers:  workers,
-		Duration: dur,
-		LossProb: loss,
+		Seed:     o.seed,
+		Workers:  o.workers,
+		Duration: o.dur,
+		LossProb: o.loss,
 		Metrics:  reg,
 	}
-	if connect != "" {
+	if o.connect != "" {
 		cfg.Emit = func(worker, lo, hi int) (*fleet.StripeSink, error) {
-			conn, err := hubnet.Dial(connect)
+			conn, err := hubnet.Dial(o.connect)
 			if err != nil {
 				return nil, err
 			}
@@ -80,23 +128,9 @@ func runScalePoint(devices int, seed uint64, workers int, dur time.Duration, los
 	return fleet.RunScale(cfg)
 }
 
-// scaleSweepOpts parameterises -devices/-scale runs, including the live
-// ops plane and the telemetry outputs that used to be fleet-only.
-type scaleSweepOpts struct {
-	sweep      []int
-	seed       uint64
-	workers    int
-	dur        time.Duration
-	loss       float64
-	metrics    bool
-	metricsOut string
-	connect    string
-	ops        opsOpts
-}
-
-// runScaleSweep prints the devices-vs-throughput table for -devices/-scale.
-// Single-point runs may attach telemetry (-metrics/-metrics-out) and the
-// ops plane (-ops-listen, -slo-*); run() rejects the unsupported combos.
+// runScaleSweep prints the devices-vs-throughput table. Single-point runs
+// may attach telemetry (-metrics/-metrics-out); any run may attach the ops
+// plane (-ops-listen, -slo-*, -history-*).
 func runScaleSweep(o scaleSweepOpts, stdout io.Writer) error {
 	var reg *telemetry.Registry
 	if o.metrics || o.metricsOut != "" || o.ops.enabled() {
@@ -122,7 +156,7 @@ func runScaleSweep(o scaleSweepOpts, stdout io.Writer) error {
 	}
 	var last fleet.ScaleResult
 	for _, n := range o.sweep {
-		res, err := runScalePoint(n, o.seed, o.workers, o.dur, o.loss, reg, o.connect)
+		res, err := runScalePoint(o, n, reg)
 		if err != nil {
 			return err
 		}
@@ -153,8 +187,8 @@ func runScaleSweep(o scaleSweepOpts, stdout io.Writer) error {
 		}
 	}
 	if o.metricsOut != "" {
-		if err := writeScaleTelemetryJSON(o.metricsOut, o.seed, last, snap); err != nil {
-			return err
+		if err := writeJSON(o.metricsOut, scaleTelemetryReport{Seed: o.seed, Result: last, Metrics: snap}); err != nil {
+			return fmt.Errorf("telemetry report: %w", err)
 		}
 		fmt.Fprintf(stdout, "wrote telemetry report to %s\n", o.metricsOut)
 	}
@@ -167,18 +201,4 @@ type scaleTelemetryReport struct {
 	Seed    uint64              `json:"seed"`
 	Result  fleet.ScaleResult   `json:"result"`
 	Metrics *telemetry.Snapshot `json:"metrics"`
-}
-
-func writeScaleTelemetryJSON(path string, seed uint64, res fleet.ScaleResult, snap *telemetry.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry report: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(scaleTelemetryReport{Seed: seed, Result: res, Metrics: snap}); err != nil {
-		return fmt.Errorf("telemetry report: %w", err)
-	}
-	return nil
 }

@@ -13,34 +13,65 @@ import (
 	"github.com/hcilab/distscroll/internal/telemetry"
 )
 
-// This file implements -serve: the networked hub. The process listens for
-// frame-ingest connections, demultiplexes the stream across hub shards,
-// and (with -ops-listen) exposes the per-shard hub_* and net_* series
-// live. A second distscroll-bench process points -connect at it.
+// This file implements the serve command: the networked hub. The process
+// listens for frame-ingest connections, demultiplexes the stream across
+// hub shards, and (with -ops-listen) exposes the per-shard hub_* and net_*
+// series live. A second process points fleet, scale or load -connect at it.
 
-// serveOpts parameterises a -serve invocation.
+// serveOpts parameterises a serve invocation.
 type serveOpts struct {
-	addr      string
-	shards    int
-	dur       time.Duration
-	pipeline  bool
-	ringSlots int
-	ringBatch int
-	onFull    hubnet.FullPolicy
-	ops       opsOpts
+	addr     string
+	shards   int
+	dur      time.Duration
+	pipeline bool
+	policy   string
+	ops      opsOpts
 }
 
-// runServe serves frame ingest until the -serve-for deadline or an
+func serveCmd(args []string, stdout io.Writer) error {
+	var o serveOpts
+	var prof profOpts
+	fs := newFlagSet("distscroll-bench serve",
+		"Runs the networked hub: accepts frame-ingest connections, demultiplexes\nthem across hub shards and prints the gateway's accounting when it stops.", stdout)
+	fs.StringVar(&o.addr, "listen", "", "accept frame-ingest connections on this address (e.g. 127.0.0.1:9200; port 0 picks one); required")
+	fs.IntVar(&o.shards, "shards", 1, "number of hub shards; frames route by device id modulo the shard count")
+	fs.DurationVar(&o.dur, "for", 0, "stop after this long (0 = serve until SIGINT/SIGTERM)")
+	fs.BoolVar(&o.pipeline, "ingest-pipeline", true, "hand decoded frames to per-shard ring workers in batches (false = direct per-frame consume on the connection goroutine)")
+	fs.StringVar(&o.policy, "ring-policy", "block", "what a full shard ring does to its producer — block (lossless backpressure) or drop (shed batches, count them)")
+	o.ops.register(fs)
+	prof.register(fs)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	switch {
+	case o.addr == "":
+		return fmt.Errorf("-listen is required")
+	case o.shards < 1:
+		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
+	case o.dur < 0:
+		return fmt.Errorf("-for must not be negative, got %v", o.dur)
+	case o.policy != "block" && o.policy != "drop":
+		return fmt.Errorf("-ring-policy must be block or drop, got %q", o.policy)
+	}
+	if err := o.ops.check(fs); err != nil {
+		return err
+	}
+	return prof.run(func() error { return runServe(o, stdout) })
+}
+
+// runServe serves frame ingest until the -for deadline or an
 // interrupt, then prints the gateway's accounting.
 func runServe(o serveOpts, stdout io.Writer) error {
 	reg := telemetry.New()
+	onFull := hubnet.BlockOnFull
+	if o.policy == "drop" {
+		onFull = hubnet.DropOnFull
+	}
 	srv, err := hubnet.Serve(o.addr, hubnet.Config{
-		Shards:      o.shards,
-		Registry:    reg,
-		Pipeline:    o.pipeline,
-		RingSlots:   o.ringSlots,
-		BatchFrames: o.ringBatch,
-		OnFull:      o.onFull,
+		Shards:   o.shards,
+		Registry: reg,
+		Pipeline: o.pipeline,
+		OnFull:   onFull,
 	})
 	if err != nil {
 		return err
@@ -49,19 +80,8 @@ func runServe(o serveOpts, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "hubnet: serving frame ingest on %s (%d shard(s))\n",
 		srv.Addr(), srv.Gateway().Shards())
 	if o.pipeline {
-		policy := "block"
-		if o.onFull == hubnet.DropOnFull {
-			policy = "drop"
-		}
-		slots, batch := o.ringSlots, o.ringBatch
-		if slots <= 0 {
-			slots = hubnet.DefaultRingSlots
-		}
-		if batch <= 0 {
-			batch = hubnet.DefaultBatchFrames
-		}
 		fmt.Fprintf(stdout, "hubnet: ingest pipeline on (%d ring slot(s) x %d-frame batches per shard, %s on full)\n",
-			slots, batch, policy)
+			hubnet.DefaultRingSlots, hubnet.DefaultBatchFrames, o.policy)
 	}
 
 	var opsSummary strings.Builder

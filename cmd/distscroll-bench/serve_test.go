@@ -13,52 +13,56 @@ import (
 )
 
 // TestServeConnectFlagValidation pins the rejection of networked-hub flag
-// combinations that would silently ignore a flag: -serve runs no
-// simulation, -connect is meaningless without one, and the simulation
-// shaping flags cannot cross the process boundary.
+// values and combinations: serve runs no simulation, load and -connect
+// need a server address, and the simulation shaping flags cannot cross
+// the process boundary. A flag of another command is not defined in this
+// one's flag set.
 func TestServeConnectFlagValidation(t *testing.T) {
+	const undefined = "flag provided but not defined: "
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-serve", "127.0.0.1:0", "-connect", "127.0.0.1:9"}, "mutually exclusive"},
-		{[]string{"-serve", "127.0.0.1:0", "-fleet", "4"}, "ingest server only"},
-		{[]string{"-serve", "127.0.0.1:0", "-devices", "100"}, "ingest server only"},
-		{[]string{"-serve", "127.0.0.1:0", "-run", "F3"}, "-serve does not run one"},
-		{[]string{"-serve", "127.0.0.1:0", "-o", "report.txt"}, "-serve does not run one"},
-		{[]string{"-serve", "127.0.0.1:0", "-loss", "0.1"}, "they do not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-reliable"}, "they do not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-workers", "4"}, "does not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-metrics"}, "scrape the server live"},
-		{[]string{"-serve", "127.0.0.1:0", "-hub-shards", "0"}, "-hub-shards must be at least 1"},
-		{[]string{"-hub-shards", "4"}, "configures the -serve ingest server"},
-		{[]string{"-serve-for", "5s"}, "bounds a -serve run"},
-		{[]string{"-serve", "127.0.0.1:0", "-saturate"}, "measures from the client side"},
-		{[]string{"-ring-slots", "128"}, "tune the -serve ingest server"},
-		{[]string{"-ingest-pipeline=false"}, "tune the -serve ingest server"},
-		{[]string{"-serve", "127.0.0.1:0", "-ring-slots", "0"}, "-ring-slots must be at least 1"},
-		{[]string{"-serve", "127.0.0.1:0", "-ring-batch", "0"}, "-ring-batch must be at least 1"},
-		{[]string{"-serve", "127.0.0.1:0", "-ring-policy", "shed"}, "must be block or drop"},
-		{[]string{"-saturate", "-fleet", "2"}, "cannot be combined with -fleet or the scale flags"},
-		{[]string{"-saturate", "-metrics"}, "ingest throughput only"},
-		{[]string{"-saturate", "-run", "F3"}, "-saturate does not run it"},
-		{[]string{"-conns", "4"}, "parameterise a -saturate run"},
-		{[]string{"-saturate", "-conns", "0"}, "counts must be at least 1"},
-		{[]string{"-saturate", "-conns", "128"}, "would leave some idle"},
-		{[]string{"-saturate", "-saturate-duration", "3s"}, "load generator"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-duration", "-1s"}, "-saturate-duration must be positive"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-duration", "0s"}, "-saturate-duration must be positive"},
-		{[]string{"-saturate"}, "needs -connect"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-conns", "1,2"}, `invalid value "1,2" for flag -conns`},
-		{[]string{"-connect", "127.0.0.1:9"}, "combine it with -fleet, -devices, -scale or -saturate"},
-		{[]string{"-connect", "127.0.0.1:9", "-fleet", "4", "-reliable"}, "acks cannot cross the -connect byte stream"},
-		{[]string{"-fleet", "2", "-run", "F3"}, "-run selects experiments"},
-		{[]string{"-fleet", "2", "-csv", "out"}, "cannot be combined with -fleet"},
-		{[]string{"-devices", "100", "-o", "report.txt"}, "the scale path prints to stdout only"},
-		{[]string{"-workers", "4"}, "bounds a -fleet or scale run"},
-		{[]string{"-fleet", "2", "-burst-len", "3"}, "set -burst > 0 as well"},
-		{[]string{"-fleet", "2", "-ack-loss", "0.1"}, "add -reliable"},
-		{[]string{"-loss", "0.1"}, "-loss shapes the simulated link"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-connect", "127.0.0.1:9"}, undefined + "-connect"},
+		{[]string{"fleet", "-devices", "4", "-listen", "127.0.0.1:0"}, undefined + "-listen"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-devices", "100"}, undefined + "-devices"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-run", "F3"}, undefined + "-run"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-o", "report.txt"}, undefined + "-o"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-loss", "0.1"}, undefined + "-loss"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-reliable"}, undefined + "-reliable"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-workers", "4"}, undefined + "-workers"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-metrics"}, undefined + "-metrics"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-shards", "0"}, "-shards must be at least 1"},
+		{[]string{"-shards", "4"}, undefined + "-shards"},
+		{[]string{"-for", "5s"}, undefined + "-for"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-conns", "2"}, undefined + "-conns"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-slots", "128"}, undefined + "-ring-slots"},
+		{[]string{"-ingest-pipeline=false"}, undefined + "-ingest-pipeline"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-slots", "0"}, undefined + "-ring-slots"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-batch", "0"}, undefined + "-ring-batch"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-policy", "shed"}, "must be block or drop"},
+		{[]string{"serve"}, "-listen is required"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-for", "-1s"}, "-for must not be negative"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-devices", "2"}, undefined + "-devices"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-metrics"}, undefined + "-metrics"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-run", "F3"}, undefined + "-run"},
+		{[]string{"-conns", "4"}, undefined + "-conns"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-conns", "0"}, "counts must be at least 1"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-conns", "128"}, "would leave some idle"},
+		{[]string{"load", "-duration", "3s"}, "load generator needs -connect"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-duration", "-1s"}, "-duration must be positive"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-duration", "0s"}, "-duration must be positive"},
+		{[]string{"load"}, "needs -connect"},
+		{[]string{"load", "-connect", "127.0.0.1:9", "-conns", "1,2"}, `invalid value "1,2" for flag -conns`},
+		{[]string{"-connect", "127.0.0.1:9"}, undefined + "-connect"},
+		{[]string{"fleet", "-devices", "4", "-connect", "127.0.0.1:9", "-reliable"}, "acks cannot cross the -connect byte stream"},
+		{[]string{"fleet", "-devices", "2", "-run", "F3"}, undefined + "-run"},
+		{[]string{"fleet", "-devices", "2", "-csv", "out"}, undefined + "-csv"},
+		{[]string{"scale", "-devices", "100", "-o", "report.txt"}, undefined + "-o"},
+		{[]string{"-workers", "4"}, undefined + "-workers"},
+		{[]string{"fleet", "-devices", "2", "-burst-len", "3"}, "set -burst > 0 as well"},
+		{[]string{"fleet", "-devices", "2", "-ack-loss", "0.1"}, "add -reliable"},
+		{[]string{"-loss", "0.1"}, undefined + "-loss"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)
@@ -71,7 +75,7 @@ func TestServeConnectFlagValidation(t *testing.T) {
 	}
 }
 
-// TestConnectFleetEndToEnd points a -fleet run at a live ingest server: the
+// TestConnectFleetEndToEnd points a fleet run at a live ingest server: the
 // CLI must announce the forwarding, the report must defer host accounting
 // to the server, and the server must decode every device's frames.
 func TestConnectFleetEndToEnd(t *testing.T) {
@@ -82,7 +86,7 @@ func TestConnectFleetEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "4", "-connect", srv.Addr().String()}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "4", "-connect", srv.Addr().String()}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"hubnet: forwarding frames to", "frames forwarded to"} {
@@ -103,7 +107,7 @@ func TestConnectFleetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConnectScaleEndToEnd points a -devices scale run at a live ingest
+// TestConnectScaleEndToEnd points a scale run at a live ingest
 // server: one stream per worker, every emitted frame decodable server-side.
 func TestConnectScaleEndToEnd(t *testing.T) {
 	srv, err := hubnet.Serve("127.0.0.1:0", hubnet.Config{Shards: 4})
@@ -113,8 +117,8 @@ func TestConnectScaleEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	var out bytes.Buffer
-	args := []string{"-devices", "40", "-workers", "4", "-seed", "9",
-		"-scale-duration", "300ms", "-connect", srv.Addr().String()}
+	args := []string{"scale", "-devices", "40", "-workers", "4", "-seed", "9",
+		"-duration", "300ms", "-connect", srv.Addr().String()}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func (b *syncBuf) String() string {
 	return b.buf.String()
 }
 
-// TestServeRunSummary drives the -serve path end to end through run(): boot
+// TestServeRunSummary drives the serve command end to end through run(): boot
 // on an ephemeral port, feed it frames from three devices over one
 // connection, and check the deadline-bounded server prints per-shard
 // accounting that matches what was sent.
@@ -163,7 +167,7 @@ func TestServeRunSummary(t *testing.T) {
 	out := &syncBuf{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-serve", "127.0.0.1:0", "-hub-shards", "2", "-serve-for", "2s"}, out)
+		done <- run([]string{"serve", "-listen", "127.0.0.1:0", "-shards", "2", "-for", "2s"}, out)
 	}()
 
 	addrRe := regexp.MustCompile(`serving frame ingest on (\S+) \(2 shard\(s\)\)`)

@@ -103,6 +103,9 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: slab needs at least 1 device, got %d", n)
 	}
+	if cfg.LossProb < 0 || cfg.LossProb > 1 {
+		return nil, fmt.Errorf("core: probabilities must be in [0,1], got loss %v", cfg.LossProb)
+	}
 	entries := cfg.Entries
 	if entries <= 0 {
 		entries = 12

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -108,5 +109,28 @@ func TestSlabTotalsContribute(t *testing.T) {
 	}
 	if len(s.Counters) != len(want) {
 		t.Errorf("Contribute wrote %d counters, want %d", len(s.Counters), len(want))
+	}
+}
+
+// TestSlabConfigValidation pins the slab's rejection of configurations the
+// session path rejects too: no devices, or a loss probability outside [0,1].
+func TestSlabConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  SlabConfig
+		want string // empty: accepted
+	}{
+		{SlabConfig{Devices: 0}, "at least 1 device"},
+		{SlabConfig{Devices: 8, LossProb: -0.1}, "probabilities must be in [0,1]"},
+		{SlabConfig{Devices: 8, LossProb: 1.5}, "probabilities must be in [0,1]"},
+		{SlabConfig{Devices: 8, LossProb: 0}, ""},
+		{SlabConfig{Devices: 8, LossProb: 1}, ""},
+	} {
+		_, err := NewStateSlab(tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v rejected: %v", tc.cfg, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v does not mention %q", tc.cfg, err, tc.want)
+		}
 	}
 }
