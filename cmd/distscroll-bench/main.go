@@ -361,8 +361,10 @@ type opsPlane struct {
 // startOpsPlane starts the history sampler, the watchdog and (if
 // requested) the HTTP server. stallClock names the series whose
 // advancement proves the run is alive: sim_virtual_seconds on the scale
-// path, hub_frames_decoded_total for the session fleet.
-func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, stallClock string, stdout io.Writer) (*opsPlane, error) {
+// path, hub_frames_decoded_total for the session fleet. lookup, when not
+// nil, serves the /api/device drill-down.
+func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, stallClock string,
+	lookup func(uint32) (*core.Session, bool), stdout io.Writer) (*opsPlane, error) {
 	var hist *history.Store
 	if o.history {
 		var err error
@@ -398,7 +400,7 @@ func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, s
 	})
 	p := &opsPlane{wd: wd, hist: hist, histOut: o.histOut}
 	if o.listen != "" {
-		srv, err := ops.Serve(o.listen, ops.Config{Registry: reg, Watchdog: wd, History: hist})
+		srv, err := ops.Serve(o.listen, ops.Config{Registry: reg, Watchdog: wd, History: hist, Lookup: lookup})
 		if err != nil {
 			wd.Stop()
 			hist.Stop()
@@ -408,6 +410,9 @@ func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, s
 		endpoints := "metrics, vars, healthz, debug/pprof"
 		if hist != nil {
 			endpoints += ", api/history, dash"
+		}
+		if lookup != nil {
+			endpoints += ", api/device"
 		}
 		fmt.Fprintf(stdout, "ops plane listening on %s (%s)\n", srv.URL(), endpoints)
 	}
@@ -519,9 +524,16 @@ func runFleet(o fleetOpts, stdout io.Writer) error {
 	var plane *opsPlane
 	if o.ops.enabled() {
 		// The session fleet has no virtual-time gauge; decoded frames are
-		// its liveness clock.
+		// its liveness clock. An in-process hub is built here, as fleet.New
+		// would build it, so /api/device can read its sessions.
+		var lookup func(uint32) (*core.Session, bool)
+		if o.connect == "" {
+			hub := core.NewHubWithMetrics(true, reg)
+			cfg.Hub = hub
+			lookup = hub.Lookup
+		}
 		var err error
-		plane, err = startOpsPlane(o.ops, reg, tracer, telemetry.MetricHubDecoded, stdout)
+		plane, err = startOpsPlane(o.ops, reg, tracer, telemetry.MetricHubDecoded, lookup, stdout)
 		if err != nil {
 			return err
 		}

@@ -225,7 +225,7 @@ func TestScaleWarnsOnExcessWorkers(t *testing.T) {
 	if err := run([]string{"scale", "-devices", "2", "-workers", "9", "-duration", "100ms"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "warning: -workers 9 exceeds -devices 2") {
+	if !strings.Contains(out.String(), "warning: -workers 9 exceeds -devices 2; running 2 workers") {
 		t.Fatalf("no worker warning:\n%s", out.String())
 	}
 }

@@ -65,9 +65,10 @@ func scaleCmd(args []string, stdout io.Writer) error {
 	if err := o.ops.check(fs); err != nil {
 		return err
 	}
-	// An over-provisioned worker pool is legal but wasteful, so warn.
+	// RunScale clamps an over-provisioned worker pool to the device count;
+	// say so rather than run fewer workers than asked for silently.
 	if least := slices.Min(o.sweep); o.workers > least {
-		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; extra workers will idle\n", o.workers, least)
+		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; running %d workers\n", o.workers, least, least)
 	}
 	return prof.run(func() error { return runScaleSweep(o, stdout) })
 }
@@ -140,7 +141,7 @@ func runScaleSweep(o scaleSweepOpts, stdout io.Writer) error {
 	var plane *opsPlane
 	if o.ops.enabled() {
 		var err error
-		plane, err = startOpsPlane(o.ops, reg, nil, telemetry.MetricSimVirtualSeconds, stdout)
+		plane, err = startOpsPlane(o.ops, reg, nil, telemetry.MetricSimVirtualSeconds, nil, stdout)
 		if err != nil {
 			return err
 		}

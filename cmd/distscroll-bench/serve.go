@@ -89,7 +89,7 @@ func runServe(o serveOpts, stdout io.Writer) error {
 	if o.ops.enabled() {
 		// Ingested frames are the server's liveness clock: the stall rule
 		// falls back to the counter when no gauge carries the name.
-		plane, err = startOpsPlane(o.ops, reg, nil, telemetry.MetricNetFrames, stdout)
+		plane, err = startOpsPlane(o.ops, reg, nil, telemetry.MetricNetFrames, srv.Gateway().Lookup, stdout)
 		if err != nil {
 			return err
 		}

@@ -87,7 +87,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 		f.tracing = &Tracing{tracer: cfg.core.Tracing}
 	}
 	if cfg.opsAddr != "" || cfg.slo != nil || cfg.history != nil {
-		st, err := startOps(&cfg, f.metrics)
+		st, err := startOps(&cfg, f.metrics, runner.Backend().Lookup)
 		if err != nil {
 			return nil, err
 		}

@@ -141,18 +141,20 @@ func (h *Hub) sessionsInOrder() []*Session {
 	return out
 }
 
-// collect contributes every session's counters, the per-device and
-// aggregate latency histograms, and the hub-level gauges to a snapshot.
+// collect contributes every session's counters, the aggregate and the
+// budgeted per-device latency histograms, and the hub-level gauges to a
+// snapshot.
 func (h *Hub) collect(snap *telemetry.Snapshot) {
 	snap.SetGauge(telemetry.MetricHubDevices, float64(h.Collect(snap)))
 }
 
-// Collect contributes every session's counters, the per-device and
-// aggregate latency histograms, and the hub-level bad-frame counter to a
-// snapshot, returning the session count. Unlike the registered collector it
-// does not set the hub_devices gauge, so several hubs (the gateway's
-// shards) can fold into one snapshot additively and the caller sets the
-// gauge once from the sum.
+// Collect contributes every session's counters, the aggregate and the
+// budgeted per-device latency histograms, and the hub-level bad-frame
+// counter to a snapshot, returning the session count. Unlike the
+// registered collector it does not set the hub_devices gauge, so several
+// hubs (the gateway's shards) can fold into one snapshot additively and
+// the caller sets the gauge once from the sum; the per-device series
+// budget is the snapshot's, so it holds across every hub folded into it.
 func (h *Hub) Collect(snap *telemetry.Snapshot) int {
 	sessions := h.sessionsInOrder()
 	snap.AddCounter(telemetry.MetricHubBadFrames, h.badFrames.Load())

@@ -259,9 +259,11 @@ func (s *Session) attachMetrics(reg *telemetry.Registry) {
 	s.mu.Unlock()
 }
 
-// latencySnapshot returns the end-to-end latency histogram, or false when
-// the session is uninstrumented.
-func (s *Session) latencySnapshot() (telemetry.HistogramSnapshot, bool) {
+// Latency returns a copy of the end-to-end latency histogram, or false
+// when the session is uninstrumented. It is the per-device drill-down
+// that stays available for sessions whose exported series the telemetry
+// budget refused.
+func (s *Session) Latency() (telemetry.HistogramSnapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lat == nil {
@@ -271,8 +273,10 @@ func (s *Session) latencySnapshot() (telemetry.HistogramSnapshot, bool) {
 }
 
 // collectSession contributes one session's receive counters and latency
-// histogram to a telemetry snapshot, under both the per-device series and
-// the fleet aggregate. Shared by the Hub collector and instrumented Hosts.
+// histogram to a telemetry snapshot: the histogram always folds into the
+// fleet aggregate, and into a per-device series while the snapshot's
+// budget lasts (telemetry.Snapshot.AddDeviceLatency). Shared by the Hub
+// collector and instrumented Hosts.
 func collectSession(s *Session, snap *telemetry.Snapshot) {
 	st := s.Stats()
 	snap.AddCounter(telemetry.MetricHubDecoded, st.Decoded)
@@ -284,10 +288,9 @@ func collectSession(s *Session, snap *telemetry.Snapshot) {
 	snap.AddCounter(telemetry.MetricHubStale, st.Stale)
 	snap.AddCounter(telemetry.MetricHubAheadDrops, st.AheadDrops)
 	snap.AddCounter(telemetry.MetricHubResyncs, st.Resyncs)
-	if h, ok := s.latencySnapshot(); ok {
-		snap.MergeHistogram(telemetry.DeviceLatencyName(s.Device()), h)
-		snap.MergeHistogram(telemetry.MetricHubE2ELatency, h)
-	}
+	s.mu.Lock()
+	snap.AddDeviceLatency(s.device, s.lat)
+	s.mu.Unlock()
 }
 
 // updateHandlers applies one registration change as a copy-on-write swap.

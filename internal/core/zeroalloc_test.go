@@ -6,6 +6,7 @@ import (
 
 	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/rf"
+	"github.com/hcilab/distscroll/internal/telemetry"
 	"github.com/hcilab/distscroll/internal/tracing"
 )
 
@@ -72,5 +73,27 @@ func TestHubHandleBadFrameZeroAlloc(t *testing.T) {
 	}
 	if st := hub.Stats(); st.BadFrames != 1001 {
 		t.Fatalf("bad frames = %d, want 1001", st.BadFrames)
+	}
+}
+
+// TestCollectAllocsIndependentOfSessions pins the collector's cost shape:
+// every session folds into the aggregate latency histogram in place, and
+// only the budgeted per-device series allocate, so collecting 10k sessions
+// allocates as often as collecting 1k. (The race detector's runtime adds a
+// few allocations of noise either way; one per session would add 9000.)
+func TestCollectAllocsIndependentOfSessions(t *testing.T) {
+	allocs := func(sessions int) float64 {
+		hub := core.NewHubWithMetrics(false, telemetry.New())
+		for d := 1; d <= sessions; d++ {
+			hub.Consume(rf.Message{Kind: rf.MsgScroll, Device: uint32(d), AtMillis: 10}, 15*time.Millisecond)
+		}
+		return testing.AllocsPerRun(20, func() { hub.Collect(telemetry.NewSnapshot()) })
+	}
+	small, large := allocs(1000), allocs(10000)
+	if large-small >= (10000-1000)/100 {
+		t.Fatalf("collecting 1k sessions: %v allocs, 10k: %v; the difference is per-session", small, large)
+	}
+	if large > 10*telemetry.MaxDeviceSeries {
+		t.Fatalf("collecting 10k sessions: %v allocs, want at most %d", large, 10*telemetry.MaxDeviceSeries)
 	}
 }

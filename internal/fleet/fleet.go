@@ -121,9 +121,11 @@ type HubBackend interface {
 	// Session returns (creating if new) the session a device id routes
 	// to; the runner pre-registers and wires tracers/acks through it.
 	Session(id uint32) *core.Session
-	// DeviceStats returns one device's receive accounting, false when
-	// the backend cannot see it locally (remote hubs).
-	DeviceStats(id uint32) (core.HostStats, bool)
+	// Lookup returns a device's session without creating one, false when
+	// the device is unknown or the backend cannot see it locally (remote
+	// hubs). The runner reads receive accounting through it, and the ops
+	// plane's per-device drill-down serves it.
+	Lookup(id uint32) (*core.Session, bool)
 }
 
 // Result is one device's outcome, deterministic given the fleet seed.
@@ -423,8 +425,8 @@ func transportStats(dev *core.Device) rf.LinkStats {
 func (r *Runner) collect(dev *core.Device, id uint32, res *Result) {
 	res.FinalCursor = dev.Cursor()
 	res.Elapsed = dev.Clock.Now()
-	if st, ok := r.hub.DeviceStats(id); ok {
-		res.Host = st
+	if s, ok := r.hub.Lookup(id); ok {
+		res.Host = s.Stats()
 	}
 	res.Link = transportStats(dev)
 	if dev.ARQ != nil {

@@ -142,8 +142,8 @@ func (c *Conn) Close() error {
 // a client connection to an out-of-process gateway. Host-side accounting
 // (sessions, events, sequence audit) lives in the server; Session hands
 // out local shadow sessions so fleet wiring that registers handlers or
-// tracers has a target, and DeviceStats reports not-found — per-device
-// host stats must be read from the server's gateway.
+// tracers has a target, and Lookup reports not-found — per-device host
+// stats must be read from the server's gateway.
 type Remote struct {
 	conn   *Conn
 	shadow *core.Hub
@@ -162,9 +162,9 @@ func (r *Remote) Handle(payload []byte, at time.Duration) { _ = r.conn.Forward(p
 // Session returns the local shadow session for a device id.
 func (r *Remote) Session(id uint32) *core.Session { return r.shadow.Session(id) }
 
-// DeviceStats always reports not-found: receive accounting lives in the
-// server process.
-func (r *Remote) DeviceStats(id uint32) (core.HostStats, bool) { return core.HostStats{}, false }
+// Lookup always reports not-found: receive accounting lives in the server
+// process.
+func (r *Remote) Lookup(id uint32) (*core.Session, bool) { return nil, false }
 
 // Err surfaces the connection's latched stream error.
 func (r *Remote) Err() error { return r.conn.Err() }

@@ -221,6 +221,11 @@ func (g *Gateway) Session(id uint32) *core.Session {
 	return g.shards[g.ShardFor(id)].Session(id)
 }
 
+// Lookup returns the session a device id routes to without creating one.
+func (g *Gateway) Lookup(id uint32) (*core.Session, bool) {
+	return g.shards[g.ShardFor(id)].Lookup(id)
+}
+
 // DeviceStats returns one device's receive counters from its shard.
 func (g *Gateway) DeviceStats(id uint32) (core.HostStats, bool) {
 	return g.shards[g.ShardFor(id)].DeviceStats(id)

@@ -18,7 +18,7 @@ import (
 // hub, which is what lets tests pin the network path's transparency.
 //
 // Loopback implements the fleet hub-backend contract (Handle, Session,
-// DeviceStats).
+// Lookup).
 type Loopback struct {
 	gw   *Gateway
 	devs sync.Map // uint32 → *loopIngest
@@ -95,5 +95,5 @@ func (l *Loopback) Handle(payload []byte, at time.Duration) {
 // Session returns the session a device id routes to (pre-registration).
 func (l *Loopback) Session(id uint32) *core.Session { return l.gw.Session(id) }
 
-// DeviceStats returns one device's receive counters.
-func (l *Loopback) DeviceStats(id uint32) (core.HostStats, bool) { return l.gw.DeviceStats(id) }
+// Lookup returns a device's session without creating one.
+func (l *Loopback) Lookup(id uint32) (*core.Session, bool) { return l.gw.Lookup(id) }

@@ -12,6 +12,9 @@
 //	/healthz       200 while the SLO watchdog is clean, 503 with the
 //	               breach list as JSON once it fires (always 200 without one)
 //	/api/history   retained telemetry history as JSON (?k=, ?series=, ?prefix=)
+//	/api/device    one device's receive counters and latency histogram as
+//	               JSON (?id=N), read from its session: the drill-down for
+//	               devices past the per-device series budget
 //	/dash          self-contained live HTML+SVG dashboard over /api/history
 //	/debug/pprof/  the standard Go profiling endpoints
 //
@@ -34,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/history"
 	"github.com/hcilab/distscroll/internal/telemetry"
 )
@@ -46,6 +50,9 @@ type Config struct {
 	Watchdog *Watchdog
 	// History, when set, serves /api/history and feeds /dash.
 	History *history.Store
+	// Lookup, when set, serves /api/device: it resolves a device id to
+	// its hub session, false when the device is unknown.
+	Lookup func(id uint32) (*core.Session, bool)
 }
 
 // Server is a running ops HTTP server.
@@ -81,7 +88,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		// so SetWatchdog/SetHistory can attach them after the listener is
 		// already up (a fleet binds its port at construction, its watchdog
 		// at run start).
-		Handler:           handler(cfg.Registry, s.wd.Load, s.hist.Load),
+		Handler:           withDevice(handler(cfg.Registry, s.wd.Load, s.hist.Load), cfg.Lookup),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
@@ -136,9 +143,9 @@ func (s *Server) Close() error {
 // Handler builds the ops mux without binding a listener — the unit-test
 // and embedding entry point.
 func Handler(cfg Config) http.Handler {
-	return handler(cfg.Registry,
+	return withDevice(handler(cfg.Registry,
 		func() *Watchdog { return cfg.Watchdog },
-		func() *history.Store { return cfg.History })
+		func() *history.Store { return cfg.History }), cfg.Lookup)
 }
 
 // healthzBody is the /healthz 503 JSON schema.
@@ -147,9 +154,49 @@ type healthzBody struct {
 	Breaches []Breach `json:"breaches"`
 }
 
+// deviceBody is the /api/device JSON schema. Latency is absent for an
+// uninstrumented session.
+type deviceBody struct {
+	Device  uint32                       `json:"device"`
+	Stats   core.HostStats               `json:"stats"`
+	Latency *telemetry.HistogramSnapshot `json:"latency,omitempty"`
+}
+
+// withDevice adds the /api/device drill-down over lookup to mux. A nil
+// lookup serves 404: the process has no sessions to read (a scale run, a
+// client forwarding to a remote gateway).
+func withDevice(mux *http.ServeMux, lookup func(uint32) (*core.Session, bool)) http.Handler {
+	mux.HandleFunc("/api/device", func(w http.ResponseWriter, r *http.Request) {
+		if lookup == nil {
+			http.Error(w, "device drill-down not available in this process", http.StatusNotFound)
+			return
+		}
+		id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 32)
+		if err != nil {
+			http.Error(w, "id must be a device id in [0, 4294967295]", http.StatusBadRequest)
+			return
+		}
+		s, ok := lookup(uint32(id))
+		if !ok {
+			http.Error(w, fmt.Sprintf("device %d unknown", id), http.StatusNotFound)
+			return
+		}
+		body := deviceBody{Device: uint32(id), Stats: s.Stats()}
+		if h, ok := s.Latency(); ok {
+			h.P50, h.P90, h.P99 = h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)
+			body.Latency = &h
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(body) //nolint:errcheck // client went away
+	})
+	return mux
+}
+
 // handler is the mux over a registry plus watchdog and history accessors
 // (read per request, so a served fleet can attach them late).
-func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *history.Store) http.Handler {
+func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *history.Store) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -162,6 +209,7 @@ func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *hi
 			"/vars          JSON snapshot\n"+
 			"/healthz       SLO watchdog state\n"+
 			"/api/history   retained telemetry history (JSON)\n"+
+			"/api/device    one device's counters and latency (?id=N)\n"+
 			"/dash          live dashboard\n"+
 			"/debug/pprof/  Go profiling\n")
 	})

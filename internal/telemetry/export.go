@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,9 +69,14 @@ const (
 	MetricHubResyncs    = "hub_arq_resyncs_total"
 
 	// MetricHubE2ELatency is the end-to-end pipeline latency histogram
-	// (firmware sample tick → hub handler dispatch) in milliseconds.
-	// Per-device series carry a {device="N"} label suffix.
+	// (firmware sample tick → hub handler dispatch) in milliseconds, folded
+	// over every session. Per-device series carry a {device="N"} label
+	// suffix and exist for at most MaxDeviceSeries sessions per snapshot
+	// (see Snapshot.AddDeviceLatency).
 	MetricHubE2ELatency = "hub_e2e_latency_ms"
+	// MetricDeviceSeriesRefused counts the sessions whose per-device
+	// latency series a snapshot left out because the budget was spent.
+	MetricDeviceSeriesRefused = "telemetry_device_series_refused"
 	// MetricHubDispatch is the wall-clock handler dispatch time in seconds
 	// (only observed when handlers or taps are registered).
 	MetricHubDispatch = "hub_dispatch_seconds"
@@ -134,6 +140,13 @@ var DispatchBucketsSec = []float64{
 func DeviceLatencyName(device uint32) string {
 	return fmt.Sprintf("%s{device=%q}", MetricHubE2ELatency, fmt.Sprint(device))
 }
+
+// MaxDeviceSeries is the per-snapshot budget of per-device latency series.
+// Every session still folds into the aggregate hub_e2e_latency_ms; only
+// its own labelled series is subject to the budget, so the history
+// store's rings, the /metrics body and the watchdog's snapshots stay
+// bounded however many devices a hub serves.
+const MaxDeviceSeries = 64
 
 // ShardName returns the per-shard variant of a gateway series name, e.g.
 // `hub_frames_decoded_total{shard="3"}`. The gateway publishes both the
@@ -227,6 +240,12 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+
+	// devices holds the ids whose per-device latency series this snapshot
+	// carries (at most MaxDeviceSeries); refused counts the sessions left
+	// out. Nil until the first AddDeviceLatency.
+	devices map[uint32]struct{}
+	refused int
 }
 
 // NewSnapshot returns an empty snapshot ready for collector contributions.
@@ -267,15 +286,46 @@ func (s *Snapshot) MergeHistogram(name string, h HistogramSnapshot) {
 	s.Histograms[name] = cur
 }
 
+// AddDeviceLatency folds one session's latency histogram into the
+// aggregate MetricHubE2ELatency series and, while fewer than
+// MaxDeviceSeries devices have a series of their own, into the device's
+// labelled series; past the budget the session is counted as refused.
+// Sessions are admitted in call order, so a collector that walks its
+// sessions in registration order exports the same devices every time.
+// The aggregate is summed in place, so only the admitted series allocate.
+// The caller synchronises h.
+func (s *Snapshot) AddDeviceLatency(device uint32, h *LocalHistogram) {
+	if h == nil {
+		return
+	}
+	v := h.view()
+	s.MergeHistogram(MetricHubE2ELatency, v)
+	if s.devices == nil {
+		s.devices = make(map[uint32]struct{}, MaxDeviceSeries)
+	}
+	if _, ok := s.devices[device]; !ok {
+		if len(s.devices) == MaxDeviceSeries {
+			s.refused++
+			return
+		}
+		s.devices[device] = struct{}{}
+	}
+	s.MergeHistogram(DeviceLatencyName(device), v)
+}
+
 // Histogram returns the named histogram series.
 func (s *Snapshot) Histogram(name string) (HistogramSnapshot, bool) {
 	h, ok := s.Histograms[name]
 	return h, ok
 }
 
-// finalize computes the derived quantiles of every histogram. Called once
-// after all collectors ran, so merged bucket counts are final.
+// finalize computes the derived quantiles of every histogram and, when any
+// session offered a per-device series, publishes the refused count. Called
+// once after all collectors ran, so merged bucket counts are final.
 func (s *Snapshot) finalize() {
+	if s.devices != nil {
+		s.SetGauge(MetricDeviceSeriesRefused, float64(s.refused))
+	}
 	for name, h := range s.Histograms {
 		h.P50 = h.Quantile(0.50)
 		h.P90 = h.Quantile(0.90)
@@ -342,10 +392,11 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format, with names sorted for stable output. Series names may embed a
 // label set (`name{device="7"}`); histogram suffixes splice their `le`
-// label into it.
+// label into it. The body streams through a buffered writer on w rather
+// than being built whole first.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	s = s.sanitized()
-	var b strings.Builder
+	b := bufio.NewWriter(w)
 
 	names := make([]string, 0, len(s.Counters))
 	for name := range s.Counters {
@@ -354,7 +405,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		base, labels := splitLabels(name)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s%s %d\n", base, base, wrapLabels(labels), s.Counters[name])
+		fmt.Fprintf(b, "# TYPE %s counter\n%s%s %d\n", base, base, wrapLabels(labels), s.Counters[name])
 	}
 
 	names = names[:0]
@@ -364,7 +415,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		base, labels := splitLabels(name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s%s %g\n", base, base, wrapLabels(labels), s.Gauges[name])
+		fmt.Fprintf(b, "# TYPE %s gauge\n%s%s %g\n", base, base, wrapLabels(labels), s.Gauges[name])
 	}
 
 	names = names[:0]
@@ -375,7 +426,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	for _, name := range names {
 		h := s.Histograms[name]
 		base, labels := splitLabels(name)
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", base)
+		fmt.Fprintf(b, "# TYPE %s histogram\n", base)
 		var cum uint64
 		for i, c := range h.Counts {
 			cum += c
@@ -383,13 +434,13 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 			if i < len(h.Bounds) {
 				le = trimFloat(h.Bounds[i])
 			}
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", base, wrapLabels(joinLabels(labels, `le="`+le+`"`)), cum)
+			fmt.Fprintf(b, "%s_bucket%s %d\n", base, wrapLabels(joinLabels(labels, `le="`+le+`"`)), cum)
 		}
-		fmt.Fprintf(&b, "%s_sum%s %g\n", base, wrapLabels(labels), h.Sum)
-		fmt.Fprintf(&b, "%s_count%s %d\n", base, wrapLabels(labels), h.Count)
+		fmt.Fprintf(b, "%s_sum%s %g\n", base, wrapLabels(labels), h.Sum)
+		fmt.Fprintf(b, "%s_count%s %d\n", base, wrapLabels(labels), h.Count)
 	}
 
-	if _, err := io.WriteString(w, b.String()); err != nil {
+	if err := b.Flush(); err != nil {
 		return fmt.Errorf("telemetry: write prometheus: %w", err)
 	}
 	return nil

@@ -204,11 +204,17 @@ func (h *LocalHistogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-	}
+	s := h.view()
+	s.Bounds = append([]float64(nil), s.Bounds...)
+	s.Counts = append([]uint64(nil), s.Counts...)
+	return s
+}
+
+// view returns the histogram state as a snapshot that aliases the
+// histogram's own slices: a read-only argument for MergeHistogram, which
+// copies whatever it keeps. Caller synchronises.
+func (h *LocalHistogram) view() HistogramSnapshot {
+	s := HistogramSnapshot{Bounds: h.bounds, Counts: h.counts, Sum: h.sum}
 	for _, c := range h.counts {
 		s.Count += c
 	}

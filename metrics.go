@@ -9,8 +9,9 @@ import (
 
 // MetricsSnapshot is a point-in-time copy of every counter, gauge and
 // histogram a run has recorded: per-layer frame counters (firmware, rf
-// link, hub), the per-device and aggregate end-to-end latency histograms
-// with p50/p90/p99, and hub-level gauges. It marshals to JSON.
+// link, hub), the aggregate end-to-end latency histogram over every device
+// and per-device ones for the first 64 devices, with p50/p90/p99, and
+// hub-level gauges. It marshals to JSON.
 type MetricsSnapshot = telemetry.Snapshot
 
 // HistogramSnapshot is one latency distribution inside a MetricsSnapshot.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/history"
 	"github.com/hcilab/distscroll/internal/ops"
 	"github.com/hcilab/distscroll/internal/telemetry"
@@ -37,7 +38,8 @@ func (s SLO) configured() bool {
 type SLOBreach = ops.Breach
 
 // WithOpsServer serves the live ops plane — GET /metrics (Prometheus),
-// /vars (JSON), /healthz, /debug/pprof — on addr (host:port; port 0 picks
+// /vars (JSON), /healthz, /api/device?id=N (one device's counters and
+// latency), /debug/pprof — on addr (host:port; port 0 picks
 // a free one, see Fleet.OpsURL) for the lifetime of the fleet. Telemetry
 // is implied: a registry is created automatically unless WithMetrics
 // supplied one. Fleet-only; New rejects it.
@@ -106,8 +108,9 @@ type opsState struct {
 }
 
 // startOps builds the fleet's ops plane from a parsed config. Called by
-// NewFleet after the registry exists.
-func startOps(cfg *config, reg *telemetry.Registry) (*opsState, error) {
+// NewFleet after the registry and the hub backend exist; lookup serves the
+// /api/device drill-down.
+func startOps(cfg *config, reg *telemetry.Registry, lookup func(uint32) (*core.Session, bool)) (*opsState, error) {
 	st := &opsState{slo: cfg.slo}
 	if cfg.history != nil {
 		hist, err := history.Start(history.Config{
@@ -121,7 +124,7 @@ func startOps(cfg *config, reg *telemetry.Registry) (*opsState, error) {
 		st.hist = hist
 	}
 	if cfg.opsAddr != "" {
-		srv, err := ops.Serve(cfg.opsAddr, ops.Config{Registry: reg, History: st.hist})
+		srv, err := ops.Serve(cfg.opsAddr, ops.Config{Registry: reg, History: st.hist, Lookup: lookup})
 		if err != nil {
 			st.hist.Stop()
 			return nil, err
