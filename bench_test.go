@@ -607,18 +607,21 @@ func BenchmarkHubnetSaturate(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWheel measures the timing-wheel scheduler's hot path:
+// BenchmarkSchedulerWheel measures the default scheduler's hot path:
 // schedule three events at firmware-tick distances and dispatch them. At
-// steady state the slab free list recycles every record; run with
-// -benchmem, the allocs/op column must read 0. The CI bench gate pins both
-// the latency and the zero-allocation contract.
+// steady state the value heap reuses its slots; run with -benchmem, the
+// allocs/op column must read 0. The CI bench gate pins both the latency
+// and the zero-allocation contract. The name predates the value heap (it
+// replaced a timing wheel) and is kept so the gate compares base and head
+// under one name.
 func BenchmarkSchedulerWheel(b *testing.B) {
 	benchEventScheduler(b, sim.NewScheduler(sim.NewClock(0)))
 }
 
 // BenchmarkSchedulerHeap is the same workload on the container/heap
-// reference scheduler — the "before" of the wheel refactor, measured live
-// on the same machine (compare ns/op and allocs/op with SchedulerWheel).
+// reference scheduler, which allocates one event per schedule, measured
+// live on the same machine (compare ns/op and allocs/op with
+// SchedulerWheel).
 func BenchmarkSchedulerHeap(b *testing.B) {
 	benchEventScheduler(b, sim.NewHeapScheduler(sim.NewClock(0)))
 }
@@ -638,8 +641,8 @@ func benchEventScheduler(b *testing.B, s sim.EventScheduler) {
 }
 
 // BenchmarkFleetScale runs the struct-of-arrays scale path — 10k packed
-// devices, one virtual second each, striped across GOMAXPROCS timing
-// wheels — and reports the real-time factor. This is the devices-vs-
+// devices, one virtual second each, striped across GOMAXPROCS
+// schedulers — and reports the real-time factor. This is the devices-vs-
 // throughput figure of merit of the scale path at benchmark cadence; the
 // perfbench scale workload measures it end to end.
 func BenchmarkFleetScale(b *testing.B) {

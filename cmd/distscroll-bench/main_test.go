@@ -181,6 +181,50 @@ func TestFleetMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestFleetMetricsOneTypePerFamily parses a 70-device exposition body — the
+// aggregate latency histogram plus 64 per-device series — and requires one
+// TYPE line per metric family, with every sample of the family directly
+// beneath it.
+func TestFleetMetricsOneTypePerFamily(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"fleet", "-devices", "70", "-seed", "8", "-metrics"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(out.String(), "Telemetry (Prometheus exposition)\n")
+	if !ok {
+		t.Fatalf("no exposition in:\n%.2000s", out.String())
+	}
+	types := map[string]int{}
+	family, kind := "", ""
+	samples := 0
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			family, kind = f[2], f[3]
+			types[family]++
+			if types[family] > 1 {
+				t.Fatalf("family %s has more than one TYPE line", family)
+			}
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "---") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		want := name == family
+		if kind == "histogram" {
+			want = name == family+"_bucket" || name == family+"_sum" || name == family+"_count"
+		}
+		if !want {
+			t.Fatalf("sample %q is not under its family's TYPE line (current family %s)", line, family)
+		}
+		samples++
+	}
+	if types["hub_e2e_latency_ms"] != 1 || samples < 65*25 {
+		t.Fatalf("parsed %d families, %d samples: want the latency family and its 65 series", len(types), samples)
+	}
+}
+
 func TestScaleMode(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"scale", "-devices", "500", "-seed", "3", "-duration", "1s"}, &out); err != nil {

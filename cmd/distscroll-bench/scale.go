@@ -34,13 +34,13 @@ func scaleCmd(args []string, stdout io.Writer) error {
 	var o scaleSweepOpts
 	var prof profOpts
 	fs := newFlagSet("distscroll-bench scale",
-		"Simulates struct-of-arrays scale devices on timing-wheel stripes and prints\nthe devices-vs-throughput table, one row per device count.", stdout)
+		"Simulates struct-of-arrays scale devices on scheduler stripes and prints\nthe devices-vs-throughput table, one row per device count.", stdout)
 	fs.Func("devices", "comma-separated device `counts`: one point (100000) or a sweep (1000,10000,100000); required", func(s string) (err error) {
 		o.sweep, err = parseDeviceList(s)
 		return err
 	})
 	fs.DurationVar(&o.dur, "duration", 10*time.Second, "virtual time each device simulates")
-	fs.IntVar(&o.workers, "workers", 0, "timing-wheel stripes, one goroutine each (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "scheduler stripes, one goroutine each (0 = GOMAXPROCS)")
 	fs.Uint64Var(&o.seed, "seed", 1, "master random seed")
 	fs.Float64Var(&o.loss, "loss", defaultScaleLoss, "modelled per-frame loss probability")
 	fs.BoolVar(&o.metrics, "metrics", false, "append a Prometheus-format dump of the run's merged telemetry")

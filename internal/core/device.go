@@ -38,7 +38,7 @@ type Config struct {
 	// channel, or a real network backend.
 	Transport func(sched sim.EventScheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (rf.Transport, error)
 	// Scheduler, when set, builds the event scheduler driving this device
-	// instead of the default timing-wheel sim.Scheduler — e.g.
+	// instead of the default value-heap sim.Scheduler — e.g.
 	// sim.NewHeapScheduler for the reference implementation. The fleet
 	// differential test uses this hook to prove the two produce
 	// byte-identical results.

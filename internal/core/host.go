@@ -81,7 +81,10 @@ func NewHostWithMetrics(keepLog bool, reg *telemetry.Registry) *Host {
 	if reg != nil {
 		s.attachMetrics(reg)
 		reg.RegisterCollector(func(snap *telemetry.Snapshot) {
-			collectSession(s, snap)
+			var agg HubStats
+			agg.add(s.Stats())
+			agg.contribute(snap)
+			s.collectLatency(snap)
 		})
 	}
 	return &Host{Session: s}

@@ -145,23 +145,26 @@ func (h *Hub) sessionsInOrder() []*Session {
 // budgeted per-device latency histograms, and the hub-level gauges to a
 // snapshot.
 func (h *Hub) collect(snap *telemetry.Snapshot) {
-	snap.SetGauge(telemetry.MetricHubDevices, float64(h.Collect(snap)))
+	snap.SetGauge(telemetry.MetricHubDevices, float64(h.Collect(snap).Devices))
 }
 
-// Collect contributes every session's counters, the aggregate and the
-// budgeted per-device latency histograms, and the hub-level bad-frame
-// counter to a snapshot, returning the session count. Unlike the
-// registered collector it does not set the hub_devices gauge, so several
-// hubs (the gateway's shards) can fold into one snapshot additively and
-// the caller sets the gauge once from the sum; the per-device series
-// budget is the snapshot's, so it holds across every hub folded into it.
-func (h *Hub) Collect(snap *telemetry.Snapshot) int {
+// Collect contributes the hub's receive counters (summed over its sessions
+// plus the hub-level bad frames), the aggregate and the budgeted per-device
+// latency histograms to a snapshot, and returns the same aggregate as
+// Stats from the one walk over the sessions. Unlike the registered
+// collector it does not set the hub_devices gauge, so several hubs (the
+// gateway's shards) can fold into one snapshot additively and the caller
+// sets the gauge once from the sum; the per-device series budget is the
+// snapshot's, so it holds across every hub folded into it.
+func (h *Hub) Collect(snap *telemetry.Snapshot) HubStats {
 	sessions := h.sessionsInOrder()
-	snap.AddCounter(telemetry.MetricHubBadFrames, h.badFrames.Load())
+	agg := HubStats{Devices: len(sessions), BadFrames: h.badFrames.Load()}
 	for _, s := range sessions {
-		collectSession(s, snap)
+		agg.add(s.Stats())
+		s.collectLatency(snap)
 	}
-	return len(sessions)
+	agg.contribute(snap)
+	return agg
 }
 
 // Session returns the session for the given device id, creating it if the
@@ -278,18 +281,36 @@ func (h *Hub) Stats() HubStats {
 	sessions := h.sessionsInOrder()
 	agg := HubStats{Devices: len(sessions), BadFrames: h.badFrames.Load()}
 	for _, s := range sessions {
-		st := s.Stats()
-		agg.Decoded += st.Decoded
-		agg.Events += st.Events
-		agg.MissedSeq += st.MissedSeq
-		agg.Duplicates += st.Duplicates
-		agg.Reordered += st.Reordered
-		agg.Stale += st.Stale
-		agg.AheadDrops += st.AheadDrops
-		agg.Resyncs += st.Resyncs
-		agg.BadFrames += st.BadFrames
+		agg.add(s.Stats())
 	}
 	return agg
+}
+
+// add folds one session's counters into the aggregate.
+func (a *HubStats) add(st HostStats) {
+	a.Decoded += st.Decoded
+	a.Events += st.Events
+	a.MissedSeq += st.MissedSeq
+	a.Duplicates += st.Duplicates
+	a.Reordered += st.Reordered
+	a.Stale += st.Stale
+	a.AheadDrops += st.AheadDrops
+	a.Resyncs += st.Resyncs
+	a.BadFrames += st.BadFrames
+}
+
+// contribute adds the aggregate's receive counters to a snapshot: one
+// map write per counter per hub, however many sessions it folds.
+func (a *HubStats) contribute(snap *telemetry.Snapshot) {
+	snap.AddCounter(telemetry.MetricHubDecoded, a.Decoded)
+	snap.AddCounter(telemetry.MetricHubEvents, a.Events)
+	snap.AddCounter(telemetry.MetricHubBadFrames, a.BadFrames)
+	snap.AddCounter(telemetry.MetricHubSeqGaps, a.MissedSeq)
+	snap.AddCounter(telemetry.MetricHubDuplicates, a.Duplicates)
+	snap.AddCounter(telemetry.MetricHubReordered, a.Reordered)
+	snap.AddCounter(telemetry.MetricHubStale, a.Stale)
+	snap.AddCounter(telemetry.MetricHubAheadDrops, a.AheadDrops)
+	snap.AddCounter(telemetry.MetricHubResyncs, a.Resyncs)
 }
 
 // DeviceStats returns one device's receive counters.

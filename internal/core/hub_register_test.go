@@ -84,7 +84,7 @@ func TestHubSparseAndDenseIds(t *testing.T) {
 				t.Fatalf("stats: %+v, want %d devices and %d decoded", st, len(ids), want)
 			}
 			snap := telemetry.NewSnapshot()
-			if n := h.Collect(snap); n != len(ids) {
+			if n := h.Collect(snap).Devices; n != len(ids) {
 				t.Fatalf("Collect counted %d sessions, want %d", n, len(ids))
 			}
 			if got := snap.Counters[telemetry.MetricHubDecoded]; got != want {

@@ -272,22 +272,12 @@ func (s *Session) Latency() (telemetry.HistogramSnapshot, bool) {
 	return s.lat.Snapshot(), true
 }
 
-// collectSession contributes one session's receive counters and latency
-// histogram to a telemetry snapshot: the histogram always folds into the
-// fleet aggregate, and into a per-device series while the snapshot's
-// budget lasts (telemetry.Snapshot.AddDeviceLatency). Shared by the Hub
-// collector and instrumented Hosts.
-func collectSession(s *Session, snap *telemetry.Snapshot) {
-	st := s.Stats()
-	snap.AddCounter(telemetry.MetricHubDecoded, st.Decoded)
-	snap.AddCounter(telemetry.MetricHubEvents, st.Events)
-	snap.AddCounter(telemetry.MetricHubBadFrames, st.BadFrames)
-	snap.AddCounter(telemetry.MetricHubSeqGaps, st.MissedSeq)
-	snap.AddCounter(telemetry.MetricHubDuplicates, st.Duplicates)
-	snap.AddCounter(telemetry.MetricHubReordered, st.Reordered)
-	snap.AddCounter(telemetry.MetricHubStale, st.Stale)
-	snap.AddCounter(telemetry.MetricHubAheadDrops, st.AheadDrops)
-	snap.AddCounter(telemetry.MetricHubResyncs, st.Resyncs)
+// collectLatency contributes the session's latency histogram to a
+// telemetry snapshot: it always folds into the fleet aggregate, and into a
+// per-device series while the snapshot's budget lasts
+// (telemetry.Snapshot.AddDeviceLatency). The receive counters are summed
+// by the caller and added once (HubStats.contribute).
+func (s *Session) collectLatency(snap *telemetry.Snapshot) {
 	s.mu.Lock()
 	snap.AddDeviceLatency(s.device, s.lat)
 	s.mu.Unlock()

@@ -394,7 +394,7 @@ func (s *StateSlab) latencyBin(i int, lost bool) int {
 }
 
 // TickStripe advances the contiguous device range [lo, hi) through one
-// firmware cycle. It is the batched per-wheel-turn unit of work: one
+// firmware cycle. It is the batched per-event unit of work: one
 // scheduler event per stripe, not one per device.
 func (s *StateSlab) TickStripe(lo, hi int, _ time.Duration) {
 	for i := lo; i < hi; i++ {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,11 +157,12 @@ func TestFleetWithPipeTransport(t *testing.T) {
 }
 
 // TestFleetWheelHeapIdentical is the fleet-level differential test: the same
-// seeded fleet run on the timing-wheel scheduler and on the heap reference
-// must produce byte-identical results — event streams, stats, cursors and
-// elapsed times. Together with the scheduler-level differential fuzz in
-// internal/sim this proves the wheel migration preserved per-seed
-// determinism end to end.
+// seeded fleet run on the default value-heap scheduler and on the heap
+// reference must produce byte-identical results — event streams, stats,
+// cursors and elapsed times. Together with the scheduler-level differential
+// fuzz in internal/sim this proves the default scheduler preserves per-seed
+// determinism end to end. The name predates the value heap (it replaced a
+// timing wheel) and is kept so CI's -run filter still matches.
 func TestFleetWheelHeapIdentical(t *testing.T) {
 	run := func(mk func(*sim.Clock) sim.EventScheduler) ([]string, string) {
 		cfg := Config{Devices: 6, Seed: 23, Workers: 2, Reliable: true, Core: core.DefaultConfig()}
@@ -173,19 +175,42 @@ func TestFleetWheelHeapIdentical(t *testing.T) {
 		}
 		return keys, fmt.Sprintf("%+v", results)
 	}
-	wheelKeys, wheelRes := run(nil) // nil = default wheel
+	valueKeys, valueRes := run(nil) // nil = default sim.Scheduler
 	heapKeys, heapRes := run(func(c *sim.Clock) sim.EventScheduler { return sim.NewHeapScheduler(c) })
-	for i := range wheelKeys {
-		if wheelKeys[i] != heapKeys[i] {
-			t.Fatalf("device %d event stream differs between wheel and heap:\n%s\nvs\n%s",
-				i+1, wheelKeys[i], heapKeys[i])
+	for i := range valueKeys {
+		if valueKeys[i] != heapKeys[i] {
+			t.Fatalf("device %d event stream differs between value heap and reference:\n%s\nvs\n%s",
+				i+1, valueKeys[i], heapKeys[i])
 		}
-		if wheelKeys[i] == "" {
+		if valueKeys[i] == "" {
 			t.Fatalf("device %d produced no events", i+1)
 		}
 	}
-	if wheelRes != heapRes {
-		t.Fatalf("fleet results differ between wheel and heap:\n%s\nvs\n%s", wheelRes, heapRes)
+	if valueRes != heapRes {
+		t.Fatalf("fleet results differ between value heap and reference:\n%s\nvs\n%s", valueRes, heapRes)
+	}
+}
+
+// TestFleetBytesPerDevice pins the per-device footprint of a built fleet:
+// the live heap after New of 2,000 reliable devices (full device graph, ARQ,
+// hub session) stays within 16 KiB per device. A fixed-size per-device
+// event scheduler of 16.5 KB alone would exceed it.
+func TestFleetBytesPerDevice(t *testing.T) {
+	const devices = 2000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := New(Config{Devices: devices, Seed: 41, Workers: 1, Reliable: true, Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / devices
+	t.Logf("live heap after New: %d B per device", per)
+	if per > 16<<10 {
+		t.Fatalf("live heap after New is %d B per device, want <= %d B", per, 16<<10)
 	}
 }
 

@@ -21,7 +21,7 @@ type ScaleConfig struct {
 	// (Seed, Devices), independent of Workers.
 	Seed uint64
 	// Workers is the number of stripes the slab is split into, one worker
-	// goroutine per stripe, each driving its own timing-wheel scheduler.
+	// goroutine per stripe, each driving its own event scheduler.
 	// <= 0 takes GOMAXPROCS.
 	Workers int
 	// Duration is the virtual time each device simulates (default 10 s).
@@ -41,7 +41,7 @@ type ScaleConfig struct {
 	// the shards on every Snapshot into the canonical fw_*/rf_*/arq_*/
 	// hub_* names plus the sim_* engine gauges. The merged counters and
 	// histograms are deterministic and worker-count independent; the
-	// gauges describe the machine (wall-clock rates, wheel occupancy).
+	// gauges describe the machine (wall-clock rates, pending events).
 	// The collector stays registered after the run ends, so a post-run
 	// scrape reads the final totals.
 	Metrics *telemetry.Registry
@@ -117,7 +117,7 @@ type scaleShard struct {
 	pubTotals  core.SlabTotals
 	pubLat     telemetry.HistogramSnapshot
 	pubVirtual time.Duration
-	pubWheel   sim.WheelStats
+	pubPending int
 	pubElapsed float64
 }
 
@@ -126,14 +126,14 @@ type scaleShard struct {
 // plus a histogram copy, amortised to noise by the coarse cadence.
 func (sh *scaleShard) publish(slab *core.StateSlab, sched *sim.Scheduler, at time.Duration, start time.Time) {
 	totals := slab.Totals(sh.lo, sh.hi)
-	wheel := sched.Stats()
+	pending := sched.Pending()
 	elapsed := time.Since(start).Seconds()
 	sh.mu.Lock()
 	sh.pubTicks = sh.ticks
 	sh.pubTotals = totals
 	sh.lat.SnapshotInto(&sh.pubLat)
 	sh.pubVirtual = at
-	sh.pubWheel = wheel
+	sh.pubPending = pending
 	sh.pubElapsed = elapsed
 	sh.mu.Unlock()
 }
@@ -152,7 +152,7 @@ type scaleCollector struct {
 func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 	var ticks uint64
 	var totals core.SlabTotals
-	var wheel sim.WheelStats
+	var pending int
 	minVirtual := time.Duration(-1)
 	var maxElapsed float64
 	for _, sh := range sc.shards {
@@ -176,9 +176,7 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 		if sh.pubElapsed > maxElapsed {
 			maxElapsed = sh.pubElapsed
 		}
-		wheel.Pending += sh.pubWheel.Pending
-		wheel.SlotsOccupied += sh.pubWheel.SlotsOccupied
-		wheel.Overflow += sh.pubWheel.Overflow
+		pending += sh.pubPending
 		sh.mu.Unlock()
 	}
 	if minVirtual < 0 {
@@ -194,9 +192,7 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 	// simulated at least this far.
 	s.SetGauge(telemetry.MetricSimVirtualSeconds, minVirtual.Seconds())
 	s.SetGauge(telemetry.MetricSimFramesInFlight, float64(totals.Outstanding))
-	s.SetGauge(telemetry.MetricSimWheelPending, float64(wheel.Pending))
-	s.SetGauge(telemetry.MetricSimWheelOccupied, float64(wheel.SlotsOccupied))
-	s.SetGauge(telemetry.MetricSimWheelOverflow, float64(wheel.Overflow))
+	s.SetGauge(telemetry.MetricSimPendingEvents, float64(pending))
 	if maxElapsed > 0 {
 		tps := float64(ticks) / maxElapsed
 		s.SetGauge(telemetry.MetricSimTicksPerSec, tps)
@@ -205,9 +201,9 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 }
 
 // RunScale simulates a packed slab fleet: Workers stripes of contiguous
-// devices, each stripe driven by its own virtual clock and timing-wheel
-// scheduler whose single periodic event advances the whole stripe through
-// one firmware cycle per wheel turn. Construction is batched (one slab,
+// devices, each stripe driven by its own virtual clock and event scheduler
+// whose single periodic event advances the whole stripe through one
+// firmware cycle per event. Construction is batched (one slab,
 // no per-device allocation) and the tick path allocates nothing, which is
 // what lets one box push a million devices faster than real time.
 //
@@ -289,7 +285,7 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		}
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			// One wheel turn = one stripe sweep: the scheduler carries a
+			// One event = one stripe sweep: the scheduler carries a
 			// single periodic event, so its hot path stays allocation-free
 			// and the per-tick cost is the linear walk over the stripe.
 			clock := sim.NewClock(0)

@@ -94,6 +94,7 @@ func TestScaleMergedMetricsMatchResult(t *testing.T) {
 	for _, g := range []string{
 		telemetry.MetricSimDevices, telemetry.MetricSimWorkers,
 		telemetry.MetricSimVirtualSeconds, telemetry.MetricSimFramesInFlight,
+		telemetry.MetricSimPendingEvents,
 	} {
 		if _, ok := snap.Gauges[g]; !ok {
 			t.Errorf("gauge %s missing from merged snapshot", g)

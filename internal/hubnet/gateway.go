@@ -289,8 +289,8 @@ func (g *Gateway) NetStats() NetStats {
 func (g *Gateway) collect(snap *telemetry.Snapshot) {
 	devices := 0
 	for i, h := range g.shards {
-		devices += h.Collect(snap)
-		st := h.Stats()
+		st := h.Collect(snap)
+		devices += st.Devices
 		snap.SetGauge(telemetry.ShardName(telemetry.MetricHubDevices, i), float64(st.Devices))
 		snap.AddCounter(telemetry.ShardName(telemetry.MetricHubDecoded, i), st.Decoded)
 		snap.AddCounter(telemetry.ShardName(telemetry.MetricHubEvents, i), st.Events)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/rf"
 	"github.com/hcilab/distscroll/internal/telemetry"
 )
@@ -237,6 +238,77 @@ func TestGatewayTelemetryCollector(t *testing.T) {
 		snap.Counters[telemetry.ShardName(telemetry.MetricNetFrames, 1)]
 	if shardFrames != 12 {
 		t.Fatalf("per-shard frame counters sum to %d, want 12", shardFrames)
+	}
+}
+
+// TestGatewayHubCountersSumSessions: the collector's hub_* counters, summed
+// per shard and added once per shard, equal the sum of every session's own
+// counters, and the per-shard series split them by shard.
+func TestGatewayHubCountersSumSessions(t *testing.T) {
+	const sessions = 1000
+	reg := telemetry.New()
+	gw := NewGateway(Config{Shards: 2, Registry: reg})
+	for d := uint32(1); d <= sessions; d++ {
+		seqs := []uint16{0, 1, 2}
+		if d%3 == 0 {
+			seqs = append(seqs, 5) // gap of two
+		}
+		if d%5 == 0 {
+			seqs = append(seqs, seqs[len(seqs)-1]) // duplicate
+		}
+		if d%7 == 0 {
+			seqs = append(seqs, 0) // late, reordered
+		}
+		for i, seq := range seqs {
+			m := rf.Message{Kind: rf.MsgScroll, Device: d, Seq: seq, AtMillis: 10}
+			gw.Consume(m, time.Duration(15+i)*time.Millisecond)
+		}
+	}
+	snap := reg.Snapshot()
+
+	var want core.HubStats
+	shardDecoded := make([]uint64, 2)
+	for d := uint32(1); d <= sessions; d++ {
+		st, ok := gw.DeviceStats(d)
+		if !ok {
+			t.Fatalf("device %d has no session", d)
+		}
+		want.Decoded += st.Decoded
+		want.Events += st.Events
+		want.BadFrames += st.BadFrames
+		want.MissedSeq += st.MissedSeq
+		want.Duplicates += st.Duplicates
+		want.Reordered += st.Reordered
+		want.Stale += st.Stale
+		want.AheadDrops += st.AheadDrops
+		want.Resyncs += st.Resyncs
+		shardDecoded[gw.ShardFor(d)] += st.Decoded
+	}
+	if want.Decoded == 0 || want.MissedSeq == 0 || want.Duplicates == 0 || want.Reordered == 0 {
+		t.Fatalf("schedule exercised too little: %+v", want)
+	}
+	for name, w := range map[string]uint64{
+		telemetry.MetricHubDecoded:    want.Decoded,
+		telemetry.MetricHubEvents:     want.Events,
+		telemetry.MetricHubBadFrames:  want.BadFrames,
+		telemetry.MetricHubSeqGaps:    want.MissedSeq,
+		telemetry.MetricHubDuplicates: want.Duplicates,
+		telemetry.MetricHubReordered:  want.Reordered,
+		telemetry.MetricHubStale:      want.Stale,
+		telemetry.MetricHubAheadDrops: want.AheadDrops,
+		telemetry.MetricHubResyncs:    want.Resyncs,
+	} {
+		if got := snap.Counters[name]; got != w {
+			t.Errorf("%s = %d, want the session sum %d", name, got, w)
+		}
+	}
+	for i, w := range shardDecoded {
+		if got := snap.Counters[telemetry.ShardName(telemetry.MetricHubDecoded, i)]; got != w {
+			t.Errorf("shard %d decoded = %d, want %d", i, got, w)
+		}
+	}
+	if got := snap.Gauges[telemetry.MetricHubDevices]; got != sessions {
+		t.Errorf("hub_devices = %v, want %d", got, sessions)
 	}
 }
 

@@ -7,12 +7,13 @@
 // its seed.
 //
 // Two scheduler implementations share one contract (EventScheduler): the
-// default Scheduler is a hierarchical timing wheel with slab-allocated event
-// storage (no per-event allocation, no comparison heap on the hot path), and
-// HeapScheduler is the original container/heap implementation kept as the
-// executable reference semantics. A differential test drives both with the
-// same schedules and requires identical event order, so per-seed determinism
-// is provable rather than assumed.
+// default Scheduler is a binary min-heap of value events in one reusable
+// slice (no per-event allocation, sized by the events pending, not by the
+// time span they cover), and HeapScheduler is the original container/heap
+// implementation over individually allocated events, kept as the executable
+// reference semantics. A differential test drives both with the same
+// schedules and requires identical event order, so per-seed determinism is
+// provable rather than assumed.
 package sim
 
 import (
@@ -55,8 +56,8 @@ func (c *Clock) Set(t time.Duration) {
 
 // EventScheduler is the contract both scheduler implementations satisfy.
 // Every caller in the repository (firmware tick, ARQ retransmit timers, link
-// delivery, fleet scripts) programs against this interface, so the wheel and
-// the heap are interchangeable — and differentially testable.
+// delivery, fleet scripts) programs against this interface, so the value heap
+// and the reference heap are interchangeable — and differentially testable.
 //
 // Semantics all implementations must share:
 //

@@ -30,8 +30,10 @@ func TestClockAdvance(t *testing.T) {
 }
 
 // schedulers enumerates both implementations so every semantic test runs
-// against the wheel and the heap reference: the contract in EventScheduler
-// is what the differential tests prove they share.
+// against the default Scheduler and the heap reference: the contract in
+// EventScheduler is what the differential tests prove they share. The
+// default's subtest name predates the value heap and is kept so test IDs
+// stay stable.
 func schedulers() map[string]func(*Clock) EventScheduler {
 	return map[string]func(*Clock) EventScheduler{
 		"wheel": func(c *Clock) EventScheduler { return NewScheduler(c) },
@@ -81,19 +83,18 @@ func TestSchedulerEqualTimesFIFO(t *testing.T) {
 	}
 }
 
-// Equal-time FIFO must hold even when the events enter from different wheel
-// levels: one scheduled far ahead (level 3 at insert time), one scheduled at
-// the same instant from close range (level 0 at insert time).
+// Equal-time FIFO must hold however far ahead each event was scheduled: one
+// scheduled 100 ms ahead, one scheduled for the same instant from 1 ns
+// before it.
 func TestSchedulerEqualTimesFIFOAcrossLevels(t *testing.T) {
 	for name, mk := range schedulers() {
 		t.Run(name, func(t *testing.T) {
 			s := mk(NewClock(0))
 			target := 100 * time.Millisecond
 			var order []int
-			s.At(target, func(time.Duration) { order = append(order, 1) }) // far: coarse level
+			s.At(target, func(time.Duration) { order = append(order, 1) }) // far ahead
 			s.At(target-time.Nanosecond, func(at time.Duration) {
-				// Scheduled 1 ns before the target, from where the target is
-				// a level-0 insert.
+				// Scheduled 1 ns before the target.
 				s.At(target, func(time.Duration) { order = append(order, 2) })
 			})
 			if err := s.Run(time.Second); err != nil {
@@ -296,16 +297,16 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-// Far-future events cross the wheel's overflow list; they must still fire at
-// their exact times and in order with near events.
+// Far-future events, hours ahead of near ones, must still fire at their
+// exact times and in order with near events.
 func TestSchedulerFarFutureEvents(t *testing.T) {
 	for name, mk := range schedulers() {
 		t.Run(name, func(t *testing.T) {
 			s := mk(NewClock(0))
 			var order []time.Duration
 			note := func(at time.Duration) { order = append(order, at) }
-			s.At(time.Hour, note)       // far beyond the level-3 block
-			s.At(10*time.Second, note)  // beyond level 3 too
+			s.At(time.Hour, note)
+			s.At(10*time.Second, note)
 			s.At(time.Millisecond, note)
 			s.At(30*time.Minute, note)
 			if err := s.Run(2 * time.Hour); err != nil {

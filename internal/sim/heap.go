@@ -48,7 +48,7 @@ func (q *eventQueue) Pop() any {
 // HeapScheduler executes events in virtual-time order on a shared Clock
 // using a comparison heap of individually allocated events. It is the
 // original scheduler implementation, kept as the executable reference
-// semantics for the timing-wheel Scheduler: the differential tests drive
+// semantics for the value-heap Scheduler: the differential tests drive
 // both with identical schedules and require identical event order.
 //
 // It is single-threaded by design: callbacks run on the caller's goroutine.

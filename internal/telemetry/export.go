@@ -91,9 +91,7 @@ const (
 	MetricSimTicksPerSec    = "sim_ticks_per_second"
 	MetricSimDevSecPerSec   = "sim_device_seconds_per_second"
 	MetricSimFramesInFlight = "sim_frames_in_flight"
-	MetricSimWheelPending   = "sim_wheel_pending_events"
-	MetricSimWheelOccupied  = "sim_wheel_slots_occupied"
-	MetricSimWheelOverflow  = "sim_wheel_overflow_events"
+	MetricSimPendingEvents  = "sim_pending_events"
 
 	// Networked hub gateway counters (internal/hubnet): the TCP/loopback
 	// ingest edge in front of the sharded hubs. Bytes/frames/resyncs count
@@ -390,43 +388,41 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition
-// format, with names sorted for stable output. Series names may embed a
-// label set (`name{device="7"}`); histogram suffixes splice their `le`
-// label into it. The body streams through a buffered writer on w rather
-// than being built whole first.
+// format, sorted for stable output. Series names may embed a label set
+// (`name{device="7"}`); histogram suffixes splice their `le` label into it.
+// Each metric family gets one TYPE line with its series listed together
+// beneath it, as the format requires. The body streams through a buffered
+// writer on w rather than being built whole first.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	s = s.sanitized()
 	b := bufio.NewWriter(w)
 
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		base, labels := splitLabels(name)
-		fmt.Fprintf(b, "# TYPE %s counter\n%s%s %d\n", base, base, wrapLabels(labels), s.Counters[name])
-	}
-
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		base, labels := splitLabels(name)
-		fmt.Fprintf(b, "# TYPE %s gauge\n%s%s %g\n", base, base, wrapLabels(labels), s.Gauges[name])
+	prev := ""
+	for _, f := range familyOrder(s.Counters) {
+		if f.base != prev {
+			fmt.Fprintf(b, "# TYPE %s counter\n", f.base)
+			prev = f.base
+		}
+		fmt.Fprintf(b, "%s%s %d\n", f.base, wrapLabels(f.labels), s.Counters[f.name])
 	}
 
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
+	prev = ""
+	for _, f := range familyOrder(s.Gauges) {
+		if f.base != prev {
+			fmt.Fprintf(b, "# TYPE %s gauge\n", f.base)
+			prev = f.base
+		}
+		fmt.Fprintf(b, "%s%s %g\n", f.base, wrapLabels(f.labels), s.Gauges[f.name])
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
-		base, labels := splitLabels(name)
-		fmt.Fprintf(b, "# TYPE %s histogram\n", base)
+
+	prev = ""
+	for _, f := range familyOrder(s.Histograms) {
+		h := s.Histograms[f.name]
+		base, labels := f.base, f.labels
+		if base != prev {
+			fmt.Fprintf(b, "# TYPE %s histogram\n", base)
+			prev = base
+		}
 		var cum uint64
 		for i, c := range h.Counts {
 			cum += c
@@ -444,6 +440,28 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		return fmt.Errorf("telemetry: write prometheus: %w", err)
 	}
 	return nil
+}
+
+// series is one exported series name split into its family (base) name
+// and its inner label list.
+type series struct{ name, base, labels string }
+
+// familyOrder returns the series of m sorted by (base, labels), so each
+// family's series are contiguous. Sorting whole names would not do: '_'
+// sorts before '{', so `foo_bar` would land between `foo` and `foo{...}`.
+func familyOrder[V any](m map[string]V) []series {
+	out := make([]series, 0, len(m))
+	for name := range m {
+		base, labels := splitLabels(name)
+		out = append(out, series{name, base, labels})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].base != out[j].base {
+			return out[i].base < out[j].base
+		}
+		return out[i].labels < out[j].labels
+	})
+	return out
 }
 
 // splitLabels splits `name{a="b"}` into base name and inner label list.

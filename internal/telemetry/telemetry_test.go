@@ -226,6 +226,31 @@ func TestWritePrometheusExposition(t *testing.T) {
 	}
 }
 
+// A labelled family is written under one TYPE line with its series
+// together, even when a sibling name extends the base with '_' (which
+// sorts between `name` and `name{...}` as a whole string).
+func TestWritePrometheusGroupsFamilies(t *testing.T) {
+	snap := NewSnapshot()
+	snap.AddCounter(ShardName(MetricHubDecoded, 1), 3)
+	snap.AddCounter(MetricHubDecoded, 5)
+	snap.AddCounter(MetricHubDecoded+"_extra", 7)
+	snap.AddCounter(ShardName(MetricHubDecoded, 0), 2)
+	var buf bytes.Buffer
+	if err := snap.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE hub_frames_decoded_total counter
+hub_frames_decoded_total 5
+hub_frames_decoded_total{shard="0"} 2
+hub_frames_decoded_total{shard="1"} 3
+# TYPE hub_frames_decoded_total_extra counter
+hub_frames_decoded_total_extra 7
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestReporterEmitsPeriodicallyAndOnStop(t *testing.T) {
 	r := New()
 	r.Counter("ticks_total").Inc()
