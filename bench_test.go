@@ -164,8 +164,9 @@ func BenchmarkA4FirmwareLoop(b *testing.B) {
 
 // BenchmarkA4DisplayRedraw measures one full top-panel redraw as the
 // firmware's drawTop issues it: the allocation-free WindowIs check, the
-// window, then a clear and five set-line commands built in one reused buffer
-// and written over the I2C bus into the BT96040 model. The cursor moves every
+// window appended into reused byte rows, then a clear and five set-line
+// commands built in one reused buffer and written over the I2C bus into the
+// BT96040 model. The cursor moves every
 // iteration, so every check fails and every redraw runs.
 func BenchmarkA4DisplayRedraw(b *testing.B) {
 	board, err := smartits.Assemble(smartits.DefaultConfig(), sim.NewRand(3))
@@ -176,7 +177,7 @@ func BenchmarkA4DisplayRedraw(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var last []string
+	var last [][]byte
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,7 +186,7 @@ func BenchmarkA4DisplayRedraw(b *testing.B) {
 		if m.WindowIs(display.TextLines, last) {
 			b.Fatal("window did not change")
 		}
-		last = m.Window(display.TextLines)
+		last = m.AppendWindow(last[:0], display.TextLines)
 		buf = append(buf[:0], display.CmdClear)
 		if err := board.Bus.Write(smartits.AddrTopDisplay, buf); err != nil {
 			b.Fatal(err)

@@ -113,7 +113,7 @@ type Pad struct {
 	raw      map[ID]bool          // electrical level set by the environment
 	stable   map[ID]bool          // debounced level
 	lastEdge map[ID]time.Duration // time of last raw edge
-	queue    []Event
+	events   []Event              // Scan's result, reused by the next Scan
 }
 
 // NewPad returns a pad for the given layout with the default debounce.
@@ -162,9 +162,10 @@ func (p *Pad) Set(id ID, pressed bool, at time.Duration) {
 
 // Scan performs a firmware scan at the given time: any raw level that has
 // been stable for the debounce interval and differs from the debounced
-// state produces an event.
+// state produces an event. The returned slice is the pad's scratch: it is
+// valid until the next Scan, and a caller that keeps events must copy them.
 func (p *Pad) Scan(at time.Duration) []Event {
-	var events []Event
+	events := p.events[:0]
 	for _, id := range p.layout.Buttons {
 		raw := p.raw[id]
 		if raw == p.stable[id] {
@@ -180,19 +181,12 @@ func (p *Pad) Scan(at time.Duration) []Event {
 		}
 		events = append(events, Event{Button: id, Kind: kind, At: at})
 	}
-	p.queue = append(p.queue, events...)
+	p.events = events
 	return events
 }
 
 // Pressed reports the debounced state of a button.
 func (p *Pad) Pressed(id ID) bool { return p.stable[id] }
-
-// Drain returns and clears all queued events.
-func (p *Pad) Drain() []Event {
-	q := p.queue
-	p.queue = nil
-	return q
-}
 
 // Tap is a test/scenario helper: it presses and releases a button with
 // edges spaced so both pass debouncing, returning the time after release

@@ -59,15 +59,56 @@ func TestUnknownButtonIgnored(t *testing.T) {
 	}
 }
 
-func TestDrainQueue(t *testing.T) {
+// TestScanReportsEachEdgeOnce pins that a debounced edge is returned by
+// exactly one Scan and that the pad keeps no event history: a press and a
+// release come back one per scan, later scans return nothing, and the
+// scratch slice stays the size of one scan instead of growing per event.
+func TestScanReportsEachEdgeOnce(t *testing.T) {
 	p := NewPad(PrototypeLayout())
-	p.Tap(TopRight, 0)
-	evs := p.Drain()
-	if len(evs) != 2 { // press + release
-		t.Fatalf("drained %d events, want 2", len(evs))
+	p.Set(TopRight, true, 0)
+	press := p.Scan(p.debounce)
+	if len(press) != 1 || press[0].Kind != Press {
+		t.Fatalf("press scan: %v", press)
 	}
-	if len(p.Drain()) != 0 {
-		t.Fatal("drain did not clear the queue")
+	p.Set(TopRight, false, 30*time.Millisecond)
+	release := p.Scan(30*time.Millisecond + p.debounce)
+	if len(release) != 1 || release[0].Kind != Release {
+		t.Fatalf("release scan: %v", release)
+	}
+	if evs := p.Scan(time.Second); len(evs) != 0 {
+		t.Fatalf("edges reported twice: %v", evs)
+	}
+	for i := 0; i < 100; i++ {
+		at := time.Second + time.Duration(i)*100*time.Millisecond
+		p.Set(LeftUpper, i%2 == 0, at)
+		if evs := p.Scan(at + p.debounce); len(evs) != 1 {
+			t.Fatalf("edge %d: %v", i, evs)
+		}
+	}
+	if c := cap(p.events); c > 4 {
+		t.Fatalf("scan scratch grew to %d events over 100 edges", c)
+	}
+}
+
+// TestScanZeroAlloc pins the firmware's per-cycle button scan: after the
+// first edge has sized the scratch, scanning allocates nothing, with or
+// without an edge to report.
+func TestScanZeroAlloc(t *testing.T) {
+	p := NewPad(PrototypeLayout())
+	p.Set(TopRight, true, 0)
+	p.Scan(p.debounce)
+	at, pressed := time.Second, false
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Set(TopRight, pressed, at)
+		if evs := p.Scan(at + p.debounce); len(evs) != 1 {
+			t.Fatalf("scan at %v: %v", at, evs)
+		}
+		p.Scan(at + 2*p.debounce)
+		at += time.Second
+		pressed = !pressed
+	})
+	if allocs != 0 {
+		t.Fatalf("Scan allocates %.1f times after warm-up", allocs)
 	}
 }
 

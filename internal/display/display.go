@@ -50,10 +50,12 @@ var (
 //
 // The framebuffer is bit-packed, 320 B per panel: row y is two words, and
 // pixel x is bit x&63 of word x>>6 (word 1 uses its low 32 bits), so a text
-// band is rasterised as eight row stores.
+// band is rasterised as eight row stores. The text rows are stored in place
+// (TextCols bytes plus a length each), so writing a line never allocates.
 type Display struct {
 	pixels   [HeightPx][2]uint64
-	lines    [TextLines]string
+	text     [TextLines][TextCols]byte
+	textLen  [TextLines]uint8
 	contrast byte
 	inverted bool
 	frames   uint64 // completed update transactions
@@ -78,17 +80,7 @@ func (d *Display) WriteBytes(data []byte) error {
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: set-line needs a row", ErrShortCommand)
 		}
-		row, text := int(rest[0]), rest[1:]
-		if len(text) > TextCols {
-			text = text[:TextCols]
-		}
-		// Keep the stored string when the text is unchanged: the firmware
-		// rewrites every debug-panel line each period, most of them equal.
-		line := d.Line(row)
-		if string(text) != line {
-			line = string(text)
-		}
-		if err := d.SetLine(row, line); err != nil {
+		if err := setLine(d, int(rest[0]), rest[1:]); err != nil {
 			return err
 		}
 	case CmdContrast:
@@ -133,20 +125,22 @@ func (d *Display) ReadBytes(n int) ([]byte, error) {
 // Clear blanks the framebuffer and all text lines.
 func (d *Display) Clear() {
 	d.pixels = [HeightPx][2]uint64{}
-	d.lines = [TextLines]string{}
+	d.textLen = [TextLines]uint8{}
 }
 
 // SetLine writes a text row (truncated to the panel width) and rasterises
 // it into the framebuffer with a 6×8 block font. An unchanged row is still
 // rasterised: SetPixel may have drawn over its band.
 func (d *Display) SetLine(row int, text string) error {
+	return setLine(d, row, text)
+}
+
+// setLine stores text, cut to TextCols bytes, as row and rasterises it.
+func setLine[T string | []byte](d *Display, row int, text T) error {
 	if row < 0 || row >= TextLines {
 		return fmt.Errorf("%w: row %d", ErrBounds, row)
 	}
-	if len(text) > TextCols {
-		text = text[:TextCols]
-	}
-	d.lines[row] = text
+	d.textLen[row] = uint8(copy(d.text[row][:], text))
 	d.rasterizeLine(row)
 	return nil
 }
@@ -156,13 +150,18 @@ func (d *Display) Line(row int) string {
 	if row < 0 || row >= TextLines {
 		return ""
 	}
-	return d.lines[row]
+	return string(d.row(row))
 }
+
+// row is the stored text of a row; it aliases the panel.
+func (d *Display) row(i int) []byte { return d.text[i][:d.textLen[i]] }
 
 // Lines returns a copy of all text rows.
 func (d *Display) Lines() []string {
 	out := make([]string, TextLines)
-	copy(out, d.lines[:])
+	for i := range out {
+		out[i] = string(d.row(i))
+	}
 	return out
 }
 
@@ -221,8 +220,8 @@ func (d *Display) LitPixels() int {
 func (d *Display) Render() string {
 	var b strings.Builder
 	b.WriteString("+" + strings.Repeat("-", TextCols) + "+\n")
-	for _, line := range d.lines {
-		fmt.Fprintf(&b, "|%-*s|\n", TextCols, line)
+	for i := range d.text {
+		fmt.Fprintf(&b, "|%-*s|\n", TextCols, d.row(i))
 	}
 	b.WriteString("+" + strings.Repeat("-", TextCols) + "+")
 	return b.String()
@@ -246,7 +245,7 @@ var glyphMask = func() (m [TextCols][2]uint64) {
 // the cell at its byte offset, so a multi-byte rune lights one cell.
 func (d *Display) rasterizeLine(row int) {
 	var mask [2]uint64
-	for col, ch := range d.lines[row] {
+	for col, ch := range string(d.row(row)) {
 		if ch == ' ' || col >= TextCols {
 			continue
 		}

@@ -220,6 +220,30 @@ func TestDisplaySetLineUnchangedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDisplaySetLineChangedZeroAlloc pins the debug panel's redraw: rows
+// are stored in place, so writing changed text to a row allocates nothing.
+func TestDisplaySetLineChangedZeroAlloc(t *testing.T) {
+	d := New()
+	cmds := [][]byte{
+		append([]byte{CmdSetLine, 1}, "V=1.234"...),
+		append([]byte{CmdSetLine, 1}, "V=0.987 longer than the panel"...),
+		append([]byte{CmdSetLine, 1}, "isle=no-meas"...),
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i = (i + 1) % len(cmds)
+		if err := d.WriteBytes(cmds[i]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("writing a changed line allocates %.1f times", allocs)
+	}
+	if got, want := d.Line(1), string(cmds[i][2:min(len(cmds[i]), 2+TextCols)]); got != want {
+		t.Fatalf("line 1 = %q, want %q", got, want)
+	}
+}
+
 func TestPixelBounds(t *testing.T) {
 	d := New()
 	if err := d.SetPixel(WidthPx, 0, true); !errors.Is(err, ErrBounds) {

@@ -152,7 +152,7 @@ type Firmware struct {
 	lastBeat   time.Duration
 	lastIndex  int
 	prevIndex  int
-	lastTopWin []string
+	lastTopWin [][]byte // top-panel rows last drawn, reused; empty forces a redraw
 	started    bool
 	// txBuf is the reusable marshal scratch for send: the firmware emits a
 	// frame every few virtual milliseconds for the whole run, so marshalling
@@ -411,7 +411,7 @@ func (fw *Firmware) handleSelect(now time.Duration, b buttons.ID) error {
 		if err := fw.rebuildMapper(); err != nil {
 			return err
 		}
-		fw.lastTopWin = nil
+		fw.lastTopWin = fw.lastTopWin[:0]
 		return fw.drawTop()
 	case errors.Is(err, menu.ErrLeaf):
 		fw.stats.selectEvents.Add(1)
@@ -440,7 +440,7 @@ func (fw *Firmware) handleBack(now time.Duration) error {
 	if err := fw.rebuildMapper(); err != nil {
 		return err
 	}
-	fw.lastTopWin = nil
+	fw.lastTopWin = fw.lastTopWin[:0]
 	return fw.drawTop()
 }
 
@@ -452,23 +452,22 @@ func (fw *Firmware) drawTop() error {
 	if fw.menu.WindowIs(display.TextLines, fw.lastTopWin) {
 		return nil
 	}
-	win := fw.menu.Window(display.TextLines)
+	fw.lastTopWin = fw.menu.AppendWindow(fw.lastTopWin[:0], display.TextLines)
 	fw.stats.displayWrites.Add(1)
 	fw.i2cBuf = append(fw.i2cBuf[:0], display.CmdClear)
 	if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.i2cBuf); err != nil {
 		fw.health.displayErrs++
-		fw.lastTopWin = nil
+		fw.lastTopWin = fw.lastTopWin[:0]
 		return nil
 	}
-	for i, line := range win {
+	for i, line := range fw.lastTopWin {
 		fw.i2cBuf = append(append(fw.i2cBuf[:0], display.CmdSetLine, byte(i)), line...)
 		if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.i2cBuf); err != nil {
 			fw.health.displayErrs++
-			fw.lastTopWin = nil
+			fw.lastTopWin = fw.lastTopWin[:0]
 			return nil
 		}
 	}
-	fw.lastTopWin = win
 	return nil
 }
 

@@ -328,3 +328,33 @@ func TestCycleCounter(t *testing.T) {
 		t.Fatalf("cycles = %d", got)
 	}
 }
+
+// TestDrawTopZeroAlloc pins the top-panel redraw: once the window rows and
+// the I2C scratch have grown to the level's titles, a cursor move redraws
+// the panel (every row rewritten over the bus) without allocating.
+func TestDrawTopZeroAlloc(t *testing.T) {
+	r := newRig(t, menu.FlatMenu(20), DefaultConfig())
+	for i := 0; i < r.menu.Len(); i++ {
+		r.menu.MoveTo(i)
+		if err := r.fw.drawTop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i, frames := 0, r.board.Top.Frames()
+	allocs := testing.AllocsPerRun(100, func() {
+		i = (i + 7) % r.menu.Len()
+		r.menu.MoveTo(i)
+		if err := r.fw.drawTop(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("top-panel redraw allocates %.1f times after warm-up", allocs)
+	}
+	if r.board.Top.Frames() == frames {
+		t.Fatal("cursor moves did not redraw the top panel")
+	}
+	if got := r.board.Top.Line(2); !strings.HasPrefix(got, "> ") {
+		t.Fatalf("centre row %q is not the cursor row", got)
+	}
+}

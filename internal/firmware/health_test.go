@@ -122,7 +122,7 @@ func TestDisplayRecoversAfterReattach(t *testing.T) {
 	}
 	r.board.SetDistance(d)
 	r.steps(t, 5)
-	// Reattach: the next cycle repaints because lastTopWin was cleared.
+	// Reattach: the next cycle repaints because lastTopWin was emptied.
 	if err := r.board.Bus.Attach(smartits.AddrTopDisplay, r.board.Top); err != nil {
 		t.Fatal(err)
 	}

@@ -214,6 +214,42 @@ func TestFleetBytesPerDevice(t *testing.T) {
 	}
 }
 
+// TestFleetAllocsPerFrame bounds the device object path's allocations over
+// a whole reliable fleet run on a hostile channel (5% loss, loss bursts, a
+// lossy ack back-channel), counted from the end of New to the end of RunAll
+// and divided by the frames the hub decoded. Link and ack frames, ARQ
+// frames, retransmit timers and display rows are reused, so what remains
+// is warm-up (ring slots, free lists and row buffers growing to their
+// working size), the session's event log and the glide closures of the
+// script; a per-frame allocation on any hop would add at least one.
+func TestFleetAllocsPerFrame(t *testing.T) {
+	cfg := Config{Devices: 500, Seed: 1, Workers: 1, Reliable: true, Core: core.DefaultConfig()}
+	cfg.Core.Link.LossProb = 0.05
+	cfg.Core.Link.BurstLossProb = 0.01
+	cfg.Core.Link.BurstLossLen = 5
+	cfg.Core.Link.AckLossProb = 0.05
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	results, err := r.RunAll()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	tot := r.Total(results)
+	if tot.Decoded == 0 || tot.Retransmits == 0 {
+		t.Fatalf("run exercised no reliable delivery: %+v", tot)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(tot.Decoded)
+	t.Logf("%.2f allocs per decoded frame (%d frames)", per, tot.Decoded)
+	if per > 4 {
+		t.Fatalf("%.2f allocs per decoded frame, want <= 4", per)
+	}
+}
+
 func TestFleetCustomScriptAndMenu(t *testing.T) {
 	cfg := Config{
 		Devices: 3,

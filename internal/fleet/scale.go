@@ -123,10 +123,11 @@ type scaleShard struct {
 
 // publish copies the shard's live state into its published fields. Runs on
 // the worker goroutine between sweeps; cost is one stripe walk for totals
-// plus a histogram copy, amortised to noise by the coarse cadence.
-func (sh *scaleShard) publish(slab *core.StateSlab, sched *sim.Scheduler, at time.Duration, start time.Time) {
+// plus a histogram copy, amortised to noise by the coarse cadence. pending
+// is the stripe scheduler's queued events, counted by the caller because
+// only it knows whether a tick is in flight.
+func (sh *scaleShard) publish(slab *core.StateSlab, pending int, at time.Duration, start time.Time) {
 	totals := slab.Totals(sh.lo, sh.hi)
-	pending := sched.Pending()
 	elapsed := time.Since(start).Seconds()
 	sh.mu.Lock()
 	sh.pubTicks = sh.ticks
@@ -321,13 +322,16 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 					sh.ticks += uint64(hi - lo)
 					sh.sweeps++
 					if sh.sweeps%publishSweeps == 0 {
-						sh.publish(slab, sched, at, start)
+						// The running tick was popped before this callback
+						// and Every re-queues it after: count it, so the
+						// gauge reads the same mid-run as after the run.
+						sh.publish(slab, sched.Pending()+1, at, start)
 					}
 				})
 				errs[w] = sched.Run(cfg.Duration)
 				// Final publish so post-run scrapes read the complete
 				// stripe, whatever the cadence remainder was.
-				sh.publish(slab, sched, cfg.Duration, start)
+				sh.publish(slab, sched.Pending(), cfg.Duration, start)
 			} else {
 				sched.Every(cfg.SamplePeriod, func(at time.Duration) {
 					if sink != nil {

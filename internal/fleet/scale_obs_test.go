@@ -108,6 +108,50 @@ func TestScaleMergedMetricsMatchResult(t *testing.T) {
 	}
 }
 
+// TestScalePendingEventsGauge pins sim_pending_events to the stripes'
+// scheduler queues: each stripe carries one periodic tick event, so the
+// gauge reads one per stripe, in a snapshot taken mid-run from inside a
+// sweep (after at least two publishes) as well as after the run. The
+// mid-run publish happens inside the tick, when the scheduler has popped the
+// event in flight; counting only the queue there read 0.
+func TestScalePendingEventsGauge(t *testing.T) {
+	reg := telemetry.New()
+	var flushes int
+	mid := -1.0
+	_, err := RunScale(ScaleConfig{
+		Devices: 100, Seed: 5, Workers: 1, Duration: 4 * time.Second, Metrics: reg,
+		Emit: func(worker, lo, hi int) (*StripeSink, error) {
+			return &StripeSink{
+				Emit: func(int, uint16, int16, uint32) {},
+				Flush: func() error {
+					// 60 sweeps of 40 ms: past the publishes at 1 s and 2 s.
+					if flushes++; flushes == 60 {
+						mid = reg.Snapshot().Gauges[telemetry.MetricSimPendingEvents]
+					}
+					return nil
+				},
+			}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid != 1 {
+		t.Errorf("mid-run sim_pending_events = %g, want 1 (one tick event per stripe)", mid)
+	}
+	if got := reg.Snapshot().Gauges[telemetry.MetricSimPendingEvents]; got != 1 {
+		t.Errorf("post-run sim_pending_events = %g, want 1", got)
+	}
+
+	reg = telemetry.New()
+	if _, err := RunScale(ScaleConfig{Devices: 90, Seed: 5, Workers: 3, Duration: 2 * time.Second, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Gauges[telemetry.MetricSimPendingEvents]; got != 3 {
+		t.Errorf("post-run sim_pending_events over 3 stripes = %g, want 3", got)
+	}
+}
+
 // TestScaleInstrumentedMatchesPlain pins that attaching a registry does not
 // perturb the simulation itself: the modelled latency draws come from a
 // (slot, seq) hash, not the device RNG stream.

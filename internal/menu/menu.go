@@ -9,6 +9,7 @@ package menu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -218,29 +219,37 @@ func (m *Menu) rowPrefix(i int) string {
 	return "  "
 }
 
-// Window returns lines rows of the current level centred on the cursor,
-// with the selected row prefixed by "> " and others by "  ". This is what
-// the firmware writes to the top display.
-func (m *Menu) Window(lines int) []string {
+// AppendWindow appends lines rows of the current level centred on the
+// cursor to dst and returns the extended slice: the selected row is
+// prefixed by "> ", the others by "  ". This is what the firmware writes to
+// the top display. Rows reuse the byte buffers in dst's spare capacity, so
+// a caller that keeps its rows (`rows = m.AppendWindow(rows[:0], n)`)
+// redraws without allocating once they have grown to the longest titles.
+func (m *Menu) AppendWindow(dst [][]byte, lines int) [][]byte {
 	start, end := m.windowSpan(lines)
-	out := make([]string, 0, end-start)
 	for i := start; i < end; i++ {
-		out = append(out, m.rowPrefix(i)+m.level.Children[i].Title)
+		prefix, title := m.rowPrefix(i), m.level.Children[i].Title
+		var row []byte
+		if n := len(dst); n < cap(dst) {
+			row = dst[:n+1][n][:0]
+		}
+		row = slices.Grow(row, len(prefix)+len(title))
+		dst = append(dst, append(append(row, prefix...), title...))
 	}
-	return out
+	return dst
 }
 
-// WindowIs reports whether Window(lines) would equal prev, without building
-// the window. Titles are exported and may change under the menu, so every
-// call compares them afresh; it never allocates.
-func (m *Menu) WindowIs(lines int, prev []string) bool {
+// WindowIs reports whether AppendWindow(nil, lines) would equal prev,
+// without building the window. Titles are exported and may change under the
+// menu, so every call compares them afresh; it never allocates.
+func (m *Menu) WindowIs(lines int, prev [][]byte) bool {
 	start, end := m.windowSpan(lines)
 	if len(prev) != end-start {
 		return false
 	}
 	for i := start; i < end; i++ {
 		prefix, title, row := m.rowPrefix(i), m.level.Children[i].Title, prev[i-start]
-		if len(row) != len(prefix)+len(title) || row[:len(prefix)] != prefix || row[len(prefix):] != title {
+		if len(row) != len(prefix)+len(title) || string(row[:len(prefix)]) != prefix || string(row[len(prefix):]) != title {
 			return false
 		}
 	}

@@ -155,7 +155,7 @@ func TestWindowCentersCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.MoveTo(10)
-	win := m.Window(5)
+	win := appendWindow(m, 5)
 	if len(win) != 5 {
 		t.Fatalf("window size %d", len(win))
 	}
@@ -175,12 +175,12 @@ func TestWindowAtEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win := m.Window(5)
+	win := appendWindow(m, 5)
 	if !strings.Contains(win[0], "Entry 01") {
 		t.Fatalf("top edge window: %v", win)
 	}
 	m.MoveTo(19)
-	win = m.Window(5)
+	win = appendWindow(m, 5)
 	if !strings.Contains(win[len(win)-1], "Entry 20") {
 		t.Fatalf("bottom edge window: %v", win)
 	}
@@ -189,7 +189,7 @@ func TestWindowAtEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(small.Window(5)); got != 3 {
+	if got := len(appendWindow(small, 5)); got != 3 {
 		t.Fatalf("short window size %d", got)
 	}
 }
@@ -250,13 +250,67 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestWindowIsMatchesWindow checks WindowIs against the definition it
-// replaces, slices.Equal(Window(n), prev), while the menu is navigated and
-// edited under it: cursor moves, descents and ascents, retitled entries,
-// added children and levels shorter than the window. The prev candidates
+// window is the string-building definition of the top-panel window that
+// AppendWindow and WindowIs implement on reused byte rows: lines rows of
+// the current level centred on the cursor, "> " before the selected row and
+// "  " before the others.
+func window(m *Menu, lines int) []string {
+	start, end := m.windowSpan(lines)
+	out := make([]string, 0, end-start)
+	for i := start; i < end; i++ {
+		out = append(out, m.rowPrefix(i)+m.level.Children[i].Title)
+	}
+	return out
+}
+
+// windowIs is the string form of WindowIs: whether window(m, lines) would
+// equal prev, compared entry by entry without building it.
+func windowIs(m *Menu, lines int, prev []string) bool {
+	start, end := m.windowSpan(lines)
+	if len(prev) != end-start {
+		return false
+	}
+	for i := start; i < end; i++ {
+		prefix, title, row := m.rowPrefix(i), m.level.Children[i].Title, prev[i-start]
+		if len(row) != len(prefix)+len(title) || row[:len(prefix)] != prefix || row[len(prefix):] != title {
+			return false
+		}
+	}
+	return true
+}
+
+// appendWindow returns AppendWindow's rows as strings.
+func appendWindow(m *Menu, lines int) []string {
+	var out []string
+	for _, row := range m.AppendWindow(nil, lines) {
+		out = append(out, string(row))
+	}
+	return out
+}
+
+// byteRows converts string rows to the byte rows the firmware holds; nil
+// stays nil.
+func byteRows(rows []string) [][]byte {
+	if rows == nil {
+		return nil
+	}
+	out := make([][]byte, len(rows))
+	for i, r := range rows {
+		out[i] = []byte(r)
+	}
+	return out
+}
+
+// TestWindowIsMatchesWindow is the differential test of the byte-row window
+// against its string definition while the menu is navigated and edited
+// under it: cursor moves, descents and ascents, retitled entries, added
+// children and levels shorter than the window. AppendWindow, into rows
+// reused across the whole walk, must equal window(); WindowIs must agree
+// with both windowIs and slices.Equal(window(), prev). The prev candidates
 // are the windows the firmware would hold (older windows, nil) and
 // near-misses of the current one.
 func TestWindowIsMatchesWindow(t *testing.T) {
+	var rows [][]byte
 	for seed := uint64(1); seed <= 10; seed++ {
 		r := rand.New(rand.NewPCG(seed, 5))
 		root := PhoneMenu()
@@ -281,7 +335,11 @@ func TestWindowIsMatchesWindow(t *testing.T) {
 				m.Level().AddChild(Leaf(fmt.Sprintf("new %d", op)))
 			}
 			for _, n := range []int{-1, 0, 1, 2, 5, 9} {
-				win := m.Window(n)
+				win := window(m, n)
+				rows = m.AppendWindow(rows[:0], n)
+				if !slices.EqualFunc(rows, win, func(b []byte, s string) bool { return string(b) == s }) {
+					t.Fatalf("seed %d op %d: AppendWindow(%d) = %q, window = %q", seed, op, n, rows, win)
+				}
 				cands := append([][]string{nil, {}, win, win[:len(win)-1]}, held...)
 				for i := range win {
 					c := slices.Clone(win)
@@ -292,12 +350,16 @@ func TestWindowIsMatchesWindow(t *testing.T) {
 					cands = append(cands, c)
 				}
 				for _, prev := range cands {
-					if got, want := m.WindowIs(n, prev), slices.Equal(win, prev); got != want {
-						t.Fatalf("seed %d op %d: WindowIs(%d, %q) = %v, Window = %q", seed, op, n, prev, got, win)
+					want := slices.Equal(win, prev)
+					if got := windowIs(m, n, prev); got != want {
+						t.Fatalf("seed %d op %d: windowIs(%d, %q) = %v, window = %q", seed, op, n, prev, got, win)
+					}
+					if got := m.WindowIs(n, byteRows(prev)); got != want {
+						t.Fatalf("seed %d op %d: WindowIs(%d, %q) = %v, window = %q", seed, op, n, prev, got, win)
 					}
 				}
 			}
-			held = append(held, m.Window(5))
+			held = append(held, window(m, 5))
 			if len(held) > 4 {
 				held = held[1:]
 			}
@@ -311,13 +373,37 @@ func TestWindowIsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.MoveTo(2)
-	win := m.Window(5)
+	rows := m.AppendWindow(nil, 5)
 	allocs := testing.AllocsPerRun(100, func() {
-		if !m.WindowIs(5, win) {
+		if !m.WindowIs(5, rows) {
 			t.Fatal("window changed")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("WindowIs allocates %.1f times", allocs)
+	}
+}
+
+// TestAppendWindowZeroAlloc pins the redraw path: once the rows have grown
+// to the level's titles, rebuilding the window after a cursor move reuses
+// them.
+func TestAppendWindowZeroAlloc(t *testing.T) {
+	m, err := New(FlatMenu(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]byte
+	for i := 0; i < m.Len(); i++ {
+		m.MoveTo(i)
+		rows = m.AppendWindow(rows[:0], 5)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i = (i + 7) % m.Len()
+		m.MoveTo(i)
+		rows = m.AppendWindow(rows[:0], 5)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendWindow allocates %.1f times after warm-up", allocs)
 	}
 }

@@ -167,8 +167,16 @@ type ARQ struct {
 
 	inflight []*arqFrame // oldest first, len <= cfg.Window
 	queue    []*arqFrame // backlog, len <= cfg.Queue
-	rto      time.Duration
-	gen      int // retransmit-timer generation; bumping it disarms old timers
+	// free holds acked and merged frames for reuse; each keeps its payload
+	// capacity, so a warm sender copies payloads without allocating.
+	free []*arqFrame
+	rto  time.Duration
+	gen  int // retransmit-timer generation; bumping it disarms old timers
+	// arms is a min-heap of the armed timers still pending in the
+	// scheduler, ordered by (deadline, gen): the order the scheduler fires
+	// them in. fire, built once, pops the head to learn which arm is firing.
+	arms []timerArm
+	fire func(at time.Duration)
 	// lastTxEnd is the estimated completion time of the newest transmission,
 	// so the timeout covers radio serialisation of a full window.
 	lastTxEnd time.Duration
@@ -184,7 +192,9 @@ func NewARQ(cfg ARQConfig, sched sim.EventScheduler, rng *sim.Rand, tx Transport
 		return nil, fmt.Errorf("rf: arq: inner transport is required")
 	}
 	cfg = cfg.withDefaults()
-	return &ARQ{cfg: cfg, sched: sched, rng: rng, tx: tx, rto: cfg.RTO}, nil
+	a := &ARQ{cfg: cfg, sched: sched, rng: rng, tx: tx, rto: cfg.RTO}
+	a.fire = func(time.Duration) { a.onTimer(a.popArm()) }
+	return a, nil
 }
 
 // Stats returns the reliable-delivery counters.
@@ -231,8 +241,7 @@ func (a *ARQ) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, err
 	a.cnt.enqueued.Add(1)
 	a.trace.Record(tracing.HopArqEnqueue, seq, a.sched.Clock().Now(),
 		uint32(len(a.inflight)+len(a.queue)), 0)
-	fr := &arqFrame{seq: seq, ver: ver, device: PayloadDevice(payload),
-		payload: append([]byte(nil), payload...)}
+	fr := a.newFrame(seq, ver, payload)
 	if len(a.inflight) < a.cfg.Window {
 		wasEmpty := len(a.inflight) == 0
 		a.inflight = append(a.inflight, fr)
@@ -274,7 +283,8 @@ func (a *ARQ) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, err
 			// covering exactly one seq.
 			head.seq = a.queue[h+1].seq
 			head.skipCount++
-			a.queue = append(a.queue[:h+1], a.queue[h+2:]...)
+			a.free = append(a.free, a.queue[h+1])
+			a.queue = cut(a.queue, h+1, 1)
 			a.cnt.queueDrops.Add(1)
 			a.trace.Record(tracing.HopArqOverflow, head.seq, a.sched.Clock().Now(),
 				uint32(head.skipCount), 0)
@@ -297,6 +307,28 @@ func (a *ARQ) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, err
 	return a.sched.Clock().Now(), nil
 }
 
+// newFrame tracks a copy of payload, reusing a released frame and its
+// payload buffer when one is free.
+func (a *ARQ) newFrame(seq uint16, ver PayloadVersion, payload []byte) *arqFrame {
+	var fr *arqFrame
+	if n := len(a.free); n > 0 {
+		fr, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		fr = new(arqFrame)
+	}
+	*fr = arqFrame{seq: seq, ver: ver, device: PayloadDevice(payload),
+		payload: append(fr.payload[:0], payload...)}
+	return fr
+}
+
+// cut removes s[i:i+n] in place, clearing the vacated tail so the backing
+// array does not keep stale frame pointers.
+func cut(s []*arqFrame, i, n int) []*arqFrame {
+	k := copy(s[i:], s[i+n:])
+	clear(s[i+k:])
+	return s[:i+k]
+}
+
 // toSkip converts a tracked frame into a skip filler covering its own
 // sequence number. It never fails: the frame entered the window because
 // PayloadSeq found a sequence number, so that seq MUST be announced to the
@@ -308,21 +340,23 @@ func (a *ARQ) toSkip(fr *arqFrame) {
 	a.refreshSkip(fr)
 }
 
-// refreshSkip rebuilds a filler's MsgSkip payload from its current range.
+// refreshSkip rebuilds a filler's MsgSkip payload from its current range,
+// in the frame's own payload buffer.
 func (a *ARQ) refreshSkip(fr *arqFrame) {
-	fr.payload = buildSkip(fr.device, fr.seq, fr.skipCount, fr.ver,
+	fr.payload = appendSkip(fr.payload[:0], fr.device, fr.seq, fr.skipCount, fr.ver,
 		uint32(a.sched.Clock().Now()/time.Millisecond))
 }
 
-// buildSkip marshals a MsgSkip notice covering count seqs ending at last.
-func buildSkip(device uint32, last, count uint16, ver PayloadVersion, atMillis uint32) []byte {
+// appendSkip appends a MsgSkip notice covering count seqs ending at last to
+// dst.
+func appendSkip(dst []byte, device uint32, last, count uint16, ver PayloadVersion, atMillis uint32) []byte {
 	m := Message{Kind: MsgSkip, Device: device, Seq: last, Index: int16(count), AtMillis: atMillis}
 	if ver == PayloadV0 {
-		p, _ := m.MarshalBinaryV0()
-		return p
+		dst = grow(dst, msgLenV0)
+		m.putV0Body(dst[len(dst)-msgLenV0:])
+		return dst
 	}
-	p, _ := m.MarshalBinary()
-	return p
+	return m.AppendBinary(dst)
 }
 
 // rawSend bypasses reliability for unsequenced payloads.
@@ -365,8 +399,68 @@ func (a *ARQ) armTimer() {
 	if now := a.sched.Clock().Now(); deadline < now {
 		deadline = now + d
 	}
-	g := a.gen
-	a.sched.At(deadline, func(at time.Duration) { a.onTimer(g) })
+	a.pushArm(timerArm{at: deadline, gen: a.gen})
+	a.sched.At(deadline, a.fire)
+}
+
+// timerArm is one scheduled retransmit timeout: its deadline and the
+// generation it was armed under.
+type timerArm struct {
+	at  time.Duration
+	gen int
+}
+
+func (t timerArm) before(o timerArm) bool {
+	return t.at < o.at || (t.at == o.at && t.gen < o.gen)
+}
+
+// pushArm records an armed timer. The scheduler fires events in (time,
+// schedule order); a deadline is never in the past, so it fires at exactly
+// its deadline, and gen grows with schedule order. This ARQ's timers
+// therefore fire in (deadline, gen) order, the heap's order, and every
+// firing pops the arm it belongs to: stale arms are recognised exactly,
+// as a closure capturing gen would.
+func (a *ARQ) pushArm(t timerArm) {
+	h := append(a.arms, timerArm{})
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = t
+	a.arms = h
+}
+
+// popArm removes the earliest armed timer and returns its generation.
+func (a *ARQ) popArm() int {
+	h := a.arms
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h = h[:n]
+	a.arms = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top.gen
 }
 
 // onTimer fires the retransmit timeout: every in-flight frame is resent
@@ -420,12 +514,14 @@ func (a *ARQ) onTimer(gen int) {
 
 // promote moves backlog frames into free window slots and transmits them.
 func (a *ARQ) promote() {
-	for len(a.inflight) < a.cfg.Window && len(a.queue) > 0 {
-		fr := a.queue[0]
-		a.queue = a.queue[1:]
+	k := 0
+	for len(a.inflight) < a.cfg.Window && k < len(a.queue) {
+		fr := a.queue[k]
+		k++
 		a.inflight = append(a.inflight, fr)
 		a.transmit(fr)
 	}
+	a.queue = cut(a.queue, 0, k)
 }
 
 // HandleAck is the ReverseLink sink: it parses one MsgAck payload and
@@ -438,16 +534,15 @@ func (a *ARQ) HandleAck(payload []byte, at time.Duration) {
 		return
 	}
 	a.cnt.acksReceived.Add(1)
-	progressed := false
-	confirmed := uint32(0)
-	for len(a.inflight) > 0 && seqLE(a.inflight[0].seq, m.Seq) {
-		a.inflight = a.inflight[1:]
+	k := 0
+	for k < len(a.inflight) && seqLE(a.inflight[k].seq, m.Seq) {
+		a.free = append(a.free, a.inflight[k])
 		a.cnt.acked.Add(1)
-		confirmed++
-		progressed = true
+		k++
 	}
-	a.trace.Record(tracing.HopArqAck, m.Seq, at, confirmed, 0)
-	if !progressed {
+	a.inflight = cut(a.inflight, 0, k)
+	a.trace.Record(tracing.HopArqAck, m.Seq, at, uint32(k), 0)
+	if k == 0 {
 		a.cnt.dupAcks.Add(1)
 		return
 	}
@@ -483,8 +578,12 @@ type ReverseLink struct {
 	cnt   reverseCounters
 
 	lastArrive time.Duration
-	// onPayload / deliverAt: persistent decoder callback and the arrival
-	// time of the ack being decoded, mirroring Link's zero-copy delivery.
+	// frames, deliver, onPayload and deliverAt mirror Link's allocation-free
+	// delivery: acks in flight in reused ring slots, one persistent
+	// callback popping the head, and the arrival time of the ack being
+	// decoded.
+	frames    frameRing
+	deliver   func(at time.Duration)
 	onPayload func(payload []byte)
 	deliverAt time.Duration
 }
@@ -507,6 +606,10 @@ func NewReverseLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sin
 	r.onPayload = func(p []byte) {
 		r.cnt.delivered.Add(1)
 		r.sink(p, r.deliverAt)
+	}
+	r.deliver = func(at time.Duration) {
+		r.deliverAt = at
+		r.dec.FeedFunc(r.frames.pop(), r.onPayload)
 	}
 	return r, nil
 }
@@ -534,11 +637,9 @@ func (r *ReverseLink) Collect(s *telemetry.Snapshot) {
 func (r *ReverseLink) SendAck(device uint32, cum uint16) {
 	now := r.sched.Clock().Now()
 	m := Message{Kind: MsgAck, Device: device, Seq: cum, AtMillis: uint32(now / time.Millisecond)}
-	// The payload scratch stays on the stack; only the framed copy — which
-	// must survive until the scheduled delivery — is heap-allocated.
+	// The payload scratch stays on the stack; the frame goes to a ring slot.
 	var pbuf [32]byte
-	frame, err := Encode(m.AppendBinary(pbuf[:0]))
-	if err != nil {
+	if _, err := r.frames.encode(m.AppendBinary(pbuf[:0])); err != nil {
 		return
 	}
 	r.cnt.sent.Add(1)
@@ -560,8 +661,6 @@ func (r *ReverseLink) SendAck(device uint32, cum uint16) {
 		r.cnt.lost.Add(1)
 		return
 	}
-	r.sched.At(arrive, func(at time.Duration) {
-		r.deliverAt = at
-		r.dec.FeedFunc(frame, r.onPayload)
-	})
+	r.frames.push()
+	r.sched.At(arrive, r.deliver)
 }

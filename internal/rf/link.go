@@ -96,10 +96,14 @@ type Link struct {
 	sink  func(payload []byte, at time.Duration)
 	cnt   linkCounters
 	trace *tracing.Recorder
-	// onPayload is the persistent decoder callback (built once so delivery
-	// does not allocate a closure per frame); deliverAt carries the arrival
-	// time of the frame currently being decoded. Both are only touched from
-	// scheduler callbacks, which run serially on the owning device.
+	// frames holds the encoded frames in flight, oldest first. deliver
+	// and onPayload are the persistent delivery and decoder callbacks
+	// (built once so a frame allocates no closure); deliverAt carries the
+	// arrival time of the frame currently being decoded. All are only
+	// touched from Send and scheduler callbacks, which run serially on the
+	// owning device.
+	frames    frameRing
+	deliver   func(at time.Duration)
 	onPayload func(payload []byte)
 	deliverAt time.Duration
 	// busyUntil models the half-duplex serialisation of the radio.
@@ -144,6 +148,12 @@ func NewLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sink func(
 		}
 		l.sink(p, l.deliverAt)
 	}
+	l.deliver = func(at time.Duration) {
+		// The zero-copy decode path: payloads handed to the sink alias the
+		// decoder scratch, valid only inside the callback (see NewLink).
+		l.deliverAt = at
+		l.dec.FeedFunc(l.frames.pop(), l.onPayload)
+	}
 	return l, nil
 }
 
@@ -184,7 +194,7 @@ func (l *Link) Send(payload []byte) (time.Duration, error) {
 // version split cannot be fooled by payload bytes that merely look like a
 // version magic.
 func (l *Link) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, error) {
-	frame, err := Encode(payload)
+	frame, err := l.frames.encode(payload)
 	if err != nil {
 		return 0, fmt.Errorf("rf: send: %w", err)
 	}
@@ -239,18 +249,15 @@ func (l *Link) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, er
 		return arrive, nil
 	}
 	if l.rng != nil && l.rng.Bool(l.cfg.CorruptProb) && len(frame) > 3 {
-		// Encode handed us a private frame, so the flip happens in place.
+		// The frame sits in this link's own ring slot until its delivery,
+		// so the flip happens in place.
 		l.cnt.corrupted.Add(1)
 		i := 3 + l.rng.Intn(len(frame)-3)
 		frame[i] ^= 1 << uint(l.rng.Intn(8))
 	}
 
-	l.sched.At(arrive, func(at time.Duration) {
-		// The zero-copy decode path: payloads handed to the sink alias the
-		// decoder scratch, valid only inside the callback (see NewLink).
-		l.deliverAt = at
-		l.dec.FeedFunc(frame, l.onPayload)
-	})
+	l.frames.push()
+	l.sched.At(arrive, l.deliver)
 	return arrive, nil
 }
 
@@ -279,4 +286,58 @@ func (l *Link) drawLoss() (lost, burst bool) {
 		return true, false
 	}
 	return false, false
+}
+
+// frameRing is a link's FIFO of encoded frames in flight, held in byte
+// slots that are reused once their frame has been delivered. Arrivals on
+// one link never decrease and the scheduler fires equal-time events in
+// schedule order, so a link's deliveries fire in send order and the head
+// slot is always the frame being delivered: one persistent callback that
+// pops the head replaces a closure per frame.
+type frameRing struct {
+	slots   [][]byte
+	head, n int
+}
+
+// encode frames payload into the tail slot without queueing it, so a frame
+// the channel loses costs no slot; push queues it.
+func (r *frameRing) encode(payload []byte) ([]byte, error) {
+	if r.n == len(r.slots) {
+		r.grow()
+	}
+	i := r.head + r.n
+	if i >= len(r.slots) {
+		i -= len(r.slots)
+	}
+	f := r.slots[i][:0]
+	if n := len(payload) + Overhead; cap(f) < n && n <= maxFrame {
+		f = make([]byte, 0, n)
+	}
+	f, err := AppendEncode(f, payload)
+	r.slots[i] = f
+	return f, err
+}
+
+// push queues the frame encode just wrote.
+func (r *frameRing) push() { r.n++ }
+
+// pop dequeues the oldest frame. The slot is rewritten by a later encode,
+// so the frame must be consumed before the next send on the link;
+// Decoder.FeedFunc copies its input before it calls back.
+func (r *frameRing) pop() []byte {
+	f := r.slots[r.head]
+	r.head++
+	if r.head == len(r.slots) {
+		r.head = 0
+	}
+	r.n--
+	return f
+}
+
+// grow doubles a full ring, moving its frames to the front in order.
+func (r *frameRing) grow() {
+	s := make([][]byte, max(4, 2*len(r.slots)))
+	k := copy(s, r.slots[r.head:])
+	copy(s[k:], r.slots[:r.head])
+	r.slots, r.head = s, 0
 }

@@ -2,6 +2,9 @@ package rf
 
 import (
 	"testing"
+	"time"
+
+	"github.com/hcilab/distscroll/internal/sim"
 )
 
 // The zero-allocation contracts of the frame pipeline, enforced as tests so
@@ -98,5 +101,145 @@ func TestEncodeAppendEncodeEquivalent(t *testing.T) {
 	}
 	if len(out) != 3 {
 		t.Fatalf("error path must leave dst unchanged, got len %d", len(out))
+	}
+}
+
+// drain runs every queued event.
+func drain(s sim.EventScheduler) {
+	for s.Step() {
+	}
+}
+
+// TestLinkSendDeliverZeroAlloc pins the forward data path: once the link's
+// frame ring and decoder scratch have warmed up, SendTagged and the
+// scheduled delivery into the sink allocate nothing, over a channel that
+// jitters, loses and corrupts frames.
+func TestLinkSendDeliverZeroAlloc(t *testing.T) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	cfg := DefaultLinkConfig()
+	cfg.LossProb, cfg.CorruptProb = 0.1, 0.1
+	delivered := 0
+	l, err := NewLink(cfg, sched, sim.NewRand(3), func([]byte, time.Duration) { delivered++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testMessage()
+	buf := make([]byte, 0, 64)
+	send := func() {
+		m.Seq++
+		buf = m.AppendBinary(buf[:0])
+		for i := 0; i < 4; i++ { // a burst keeps several frames in flight
+			if _, err := l.SendTagged(buf, PayloadV1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain(sched)
+	}
+	for i := 0; i < 100; i++ {
+		send()
+	}
+	if n := testing.AllocsPerRun(1000, send); n != 0 {
+		t.Fatalf("Link.SendTagged + delivery: %v allocs/op, want 0", n)
+	}
+	st := l.Stats()
+	if delivered == 0 || st.Lost == 0 || st.Corrupted == 0 || st.Sent != st.Delivered+st.Lost+st.Corrupted {
+		t.Fatalf("channel did not exercise delivery, loss and corruption: %+v", st)
+	}
+}
+
+// TestReverseLinkSendAckZeroAlloc pins the ack back-channel: SendAck and
+// the scheduled delivery of the ack allocate nothing after warm-up.
+func TestReverseLinkSendAckZeroAlloc(t *testing.T) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	cfg := DefaultLinkConfig()
+	cfg.AckLossProb = 0.1
+	var last uint16
+	r, err := NewReverseLink(cfg, sched, sim.NewRand(4), func(p []byte, _ time.Duration) {
+		var m Message
+		if m.Decode(p) {
+			last = m.Seq
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cum := uint16(0)
+	ack := func() {
+		for i := 0; i < 3; i++ {
+			cum++
+			r.SendAck(9, cum)
+		}
+		drain(sched)
+	}
+	for i := 0; i < 100; i++ {
+		ack()
+	}
+	if n := testing.AllocsPerRun(1000, ack); n != 0 {
+		t.Fatalf("ReverseLink.SendAck + delivery: %v allocs/op, want 0", n)
+	}
+	if st := r.Stats(); st.AcksDelivered == 0 || st.AcksLost == 0 || last == 0 {
+		t.Fatalf("back-channel did not exercise delivery and loss: %+v", st)
+	}
+}
+
+// TestARQCycleZeroAlloc pins one reliable send cycle of the device object
+// path: ARQ send over a lossy Link, in-order receive, ack over the lossy
+// ReverseLink, window slide and the retransmit timer when a frame or an ack
+// is lost. After warm-up (frame free list, timer heap, rings, decoders) the
+// cycle allocates nothing.
+func TestARQCycleZeroAlloc(t *testing.T) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	cfg := DefaultLinkConfig()
+	cfg.LossProb, cfg.AckLossProb = 0.2, 0.1
+	rng := sim.NewRand(6)
+	var arq *ARQ
+	rev, err := NewReverseLink(cfg, sched, rng.Split(), func(p []byte, at time.Duration) { arq.HandleAck(p, at) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var await uint16
+	link, err := NewLink(cfg, sched, rng.Split(), func(p []byte, _ time.Duration) {
+		var m Message
+		if !m.Decode(p) {
+			return
+		}
+		if m.Seq == await {
+			await++
+		}
+		rev.SendAck(m.Device, await-1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arq, err = NewARQ(ARQConfig{}, sched, rng.Split(), link); err != nil {
+		t.Fatal(err)
+	}
+	m := testMessage()
+	m.Seq = 0
+	buf := make([]byte, 0, 64)
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			buf = m.AppendBinary(buf[:0])
+			m.Seq++
+			if _, err := arq.SendTagged(buf, PayloadV1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for arq.Outstanding() > 0 && sched.Step() {
+		}
+	}
+	for i := 0; i < 300; i++ {
+		cycle()
+	}
+	before := arq.Stats()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("ARQ send/ack/retransmit cycle: %v allocs/op, want 0", n)
+	}
+	st := arq.Stats()
+	if st.Timeouts == before.Timeouts || st.Retransmits == before.Retransmits || st.Acked == before.Acked {
+		t.Fatalf("measured cycles did not exercise acks and retransmit timers: %+v -> %+v", before, st)
+	}
+	if arq.Outstanding() != 0 || await != m.Seq {
+		t.Fatalf("outstanding %d, receiver awaits %d, sender at %d", arq.Outstanding(), await, m.Seq)
 	}
 }
