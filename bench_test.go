@@ -641,6 +641,25 @@ func benchEventScheduler(b *testing.B, s sim.EventScheduler) {
 	}
 }
 
+// BenchmarkSlabTick measures the slab kernel alone: one op is one sweep of
+// a 200k-device slab as a single stripe, the perfbench scale workload's
+// slab without the scheduler around it, and ns/tick divides the sweep by
+// the devices it ticked. The sweep allocates nothing.
+func BenchmarkSlabTick(b *testing.B) {
+	slab, err := core.NewStateSlab(core.SlabConfig{Devices: 200_000, Seed: 1, LossProb: 0.01})
+	if err != nil {
+		b.Fatal(err)
+	}
+	at := time.Duration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at += 40 * time.Millisecond
+		slab.TickStripe(0, slab.Len(), at)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slab.Len()), "ns/tick")
+}
+
 // BenchmarkFleetScale runs the struct-of-arrays scale path — 10k packed
 // devices, one virtual second each, striped across GOMAXPROCS
 // schedulers — and reports the real-time factor. This is the devices-vs-

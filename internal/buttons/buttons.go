@@ -187,16 +187,3 @@ func (p *Pad) Scan(at time.Duration) []Event {
 
 // Pressed reports the debounced state of a button.
 func (p *Pad) Pressed(id ID) bool { return p.stable[id] }
-
-// Tap is a test/scenario helper: it presses and releases a button with
-// edges spaced so both pass debouncing, returning the time after release
-// settles.
-func (p *Pad) Tap(id ID, at time.Duration) time.Duration {
-	p.Set(id, true, at)
-	p.Scan(at + p.debounce)
-	release := at + p.debounce + 30*time.Millisecond
-	p.Set(id, false, release)
-	end := release + p.debounce
-	p.Scan(end)
-	return end
-}

@@ -112,17 +112,6 @@ func TestScanZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestTapHelperTimes(t *testing.T) {
-	p := NewPad(PrototypeLayout())
-	end := p.Tap(TopRight, time.Second)
-	if end <= time.Second {
-		t.Fatalf("tap end %v not after start", end)
-	}
-	if p.Pressed(TopRight) {
-		t.Fatal("button still pressed after tap")
-	}
-}
-
 func TestSetDebounce(t *testing.T) {
 	p := NewPad(PrototypeLayout())
 	p.SetDebounce(100 * time.Millisecond)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"github.com/hcilab/distscroll/internal/adc"
@@ -68,10 +70,12 @@ type StateSlab struct {
 	retransmits []uint32
 	switches    []uint32 // island switches = scroll events emitted
 
-	// Shared read-only tables: the island map and the sensor
-	// characteristic, built once for the whole slab.
+	// Shared read-only tables: the island map, each island's hysteresis
+	// band, the sensor characteristic and the ADC tables, built once for
+	// the whole slab (the ADC tables once per process).
 	islands  []mapping.Island
-	hyst     float64
+	bands    []band
+	adc      *adcTables
 	sensor   *gp2d120.Sensor
 	noiseSD  float64
 	lossProb float64
@@ -123,6 +127,14 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
+	islands := mapper.Islands()
+	hyst := mapper.Config().Hysteresis
+	bands := make([]band, len(islands))
+	for c, is := range islands {
+		h := hyst * (is.Hi - is.Lo) / 2
+		bands[c] = band{lo: is.Lo - h, hi: is.Hi + h}
+	}
+
 	s := &StateSlab{
 		n:           n,
 		rng:         make([]uint64, 4*n),
@@ -143,8 +155,9 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 		lost:        make([]uint32, n),
 		retransmits: make([]uint32, n),
 		switches:    make([]uint32, n),
-		islands:     mapper.Islands(),
-		hyst:        mapper.Config().Hysteresis,
+		islands:     islands,
+		bands:       bands,
+		adc:         slabADC(),
 		sensor:      sensor,
 		noiseSD:     sensorCfg.NoiseSD,
 		lossProb:    cfg.LossProb,
@@ -163,13 +176,20 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			s.rng[4*i+w] = z ^ (z >> 31)
 		}
+		r := s.loadRNG(i)
+		var u uint64
 		s.cur[i] = -1
-		s.dist[i] = s.islandCenter(s.nextU64(i))
-		s.target[i] = s.islandCenter(s.nextU64(i))
+		r, u = r.next()
+		s.dist[i] = s.islandCenter(u)
+		r, u = r.next()
+		s.target[i] = s.islandCenter(u)
 		// Glide speeds span roughly the scripted fleet glides: the full
 		// 26 cm range over 350-700 ms at the 40 ms tick.
-		s.step[i] = 1.5 + 1.5*u64ToFloat(s.nextU64(i))
-		s.dwell[i] = int16(s.nextU64(i) % uint64(cfg.DwellTicks))
+		r, u = r.next()
+		s.step[i] = 1.5 + 1.5*u64ToFloat(u)
+		r, u = r.next()
+		s.dwell[i] = int16(u % uint64(cfg.DwellTicks))
+		s.storeRNG(i, r)
 	}
 	return s, nil
 }
@@ -177,19 +197,32 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 // Len returns the slab size.
 func (s *StateSlab) Len() int { return s.n }
 
-// nextU64 advances device i's packed xoshiro256** state (the sim.Rand walk
-// on slab storage).
-func (s *StateSlab) nextU64(i int) uint64 {
+// xoshiro is one device's xoshiro256** state (the sim.Rand generator)
+// held as a value, so the tick loads the device's four words once, steps
+// them in registers and stores them once.
+type xoshiro struct{ s0, s1, s2, s3 uint64 }
+
+// next returns the advanced state and its draw.
+func (x xoshiro) next() (xoshiro, uint64) {
+	result := ((x.s1*5)<<7 | (x.s1*5)>>57) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = (x.s3 << 45) | (x.s3 >> 19)
+	return x, result
+}
+
+func (s *StateSlab) loadRNG(i int) xoshiro {
 	st := s.rng[4*i : 4*i+4 : 4*i+4]
-	result := ((st[1]*5)<<7 | (st[1]*5)>>57) * 9
-	t := st[1] << 17
-	st[2] ^= st[0]
-	st[3] ^= st[1]
-	st[1] ^= st[2]
-	st[0] ^= st[3]
-	st[2] ^= t
-	st[3] = (st[3] << 45) | (st[3] >> 19)
-	return result
+	return xoshiro{st[0], st[1], st[2], st[3]}
+}
+
+func (s *StateSlab) storeRNG(i int, x xoshiro) {
+	st := s.rng[4*i : 4*i+4 : 4*i+4]
+	st[0], st[1], st[2], st[3] = x.s0, x.s1, x.s2, x.s3
 }
 
 func u64ToFloat(u uint64) float64 { return float64(u>>11) / (1 << 53) }
@@ -199,14 +232,91 @@ func (s *StateSlab) islandCenter(u uint64) float64 {
 	return s.islands[u%uint64(len(s.islands))].DistanceCm
 }
 
-// approxNorm returns a cheap approximately normal deviate with unit
-// standard deviation (Irwin-Hall of four uniforms). The scale path trades
-// the exact Box-Muller tail for a branch- and transcendental-free kernel;
-// the filter eats the difference.
-func (s *StateSlab) approxNorm(i int) float64 {
-	sum := u64ToFloat(s.nextU64(i)) + u64ToFloat(s.nextU64(i)) +
-		u64ToFloat(s.nextU64(i)) + u64ToFloat(s.nextU64(i))
-	return (sum - 2) * 1.7320508075688772 // sqrt(12/4): unit variance
+// band is an island's hysteresis band: the island widened by
+// hysteresis*(Hi-Lo)/2 on each side, over which a device already on the
+// island stays on it (mapping.Mapper.Map's rule, precomputed).
+type band struct{ lo, hi float64 }
+
+func (b band) holds(v float64) bool { return v >= b.lo && v <= b.hi }
+
+// island returns the index of the island containing v, or -1 when v lies
+// between islands: a binary search over the islands, which are sorted
+// ascending by voltage and disjoint.
+func (s *StateSlab) island(v float64) int {
+	lo, hi := 0, len(s.islands)-1
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		is := &s.islands[mid]
+		switch {
+		case v < is.Lo:
+			hi = mid - 1
+		case v > is.Hi:
+			lo = mid + 1
+		default:
+			return mid
+		}
+	}
+	return -1
+}
+
+// adcTables quantise a voltage through the board's truncating 10-bit ADC
+// and back without a division. The ADC's code is
+// min(int(v/Vref*1024), MaxCode); thr[k] is the least float64 with code k,
+// found by bisection over float64 bits against that very expression, and
+// volts[k] is code k read back as volts. The code estimated by one multiply,
+// int(v*(1024/Vref)), is the true code or one above it (both functions are
+// monotone in v, and TestADCQuantiseTable checks the estimate at every
+// threshold), so one compare against thr settles it: exact for every
+// finite v >= 0.
+type adcTables struct {
+	thr   [adc.MaxCode + 1]float64
+	volts [adc.MaxCode + 1]float64
+}
+
+// adcCode is the ADC transfer function the tables reproduce, before the
+// clamp at MaxCode.
+func adcCode(v float64) int { return int(v / adc.DefaultVref * float64(adc.MaxCode+1)) }
+
+// adcEstimate is the division-free code estimate quantise starts from.
+func adcEstimate(v float64) int { return int(v * (float64(adc.MaxCode+1) / adc.DefaultVref)) }
+
+// adcThreshold returns the least float64 v >= 0 with adcCode(v) >= k, for
+// 1 <= k <= MaxCode+1: non-negative floats order like their bit patterns.
+func adcThreshold(k int) float64 {
+	lo, hi := uint64(0), math.Float64bits(adc.DefaultVref) // adcCode(lo) < k <= adcCode(hi)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if adcCode(math.Float64frombits(mid)) >= k {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// slabADC builds the ADC tables once per process.
+var slabADC = sync.OnceValue(func() *adcTables {
+	q := new(adcTables)
+	for k := range q.thr {
+		if k > 0 {
+			q.thr[k] = adcThreshold(k)
+		}
+		q.volts[k] = float64(k) * adc.DefaultVref / float64(adc.MaxCode+1)
+	}
+	return q
+})
+
+// quantise returns v as the ADC reads it back, volts[code(v)], for v >= 0.
+func (q *adcTables) quantise(v float64) float64 {
+	k := adcEstimate(v)
+	if uint(k) > adc.MaxCode {
+		k = adc.MaxCode
+	}
+	if v < q.thr[k] {
+		k--
+	}
+	return q.volts[k]
 }
 
 // FrameEmitter receives one emitted scale frame: the device slot, the
@@ -225,19 +335,29 @@ func (s *StateSlab) Tick(i int) { s.tick(i, nil, nil, 0) }
 // every emitted frame bins its modelled end-to-end latency and/or is handed
 // to emit. Nil hooks cost one predictable branch per frame, keeping the
 // uninstrumented path identical.
+//
+// The kernel is straight-line: the device's RNG words are loaded once and
+// stepped in registers (draw order: retarget, four noise draws, loss), the
+// ADC is a multiply, one threshold compare and a table read, and the
+// hysteresis test is one precomputed band, with the island search only on
+// a miss. It is bit-identical to the stage-by-stage reference in
+// soa_ref_test.go.
 func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
+	r := s.loadRNG(i)
+	var u uint64
+
 	// Hand motion: dwell at a reached target, then glide to the next.
 	d := s.dist[i]
-	switch {
-	case s.dwell[i] > 0:
+	if s.dwell[i] > 0 {
 		s.dwell[i]--
-	default:
-		delta := s.target[i] - d
-		step := s.step[i]
+	} else {
+		target, step := s.target[i], s.step[i]
+		delta := target - d
 		if delta <= step && delta >= -step {
-			d = s.target[i]
+			d = target
 			s.dwell[i] = s.dwellTicks
-			s.target[i] = s.islandCenter(s.nextU64(i))
+			r, u = r.next()
+			s.target[i] = s.islandCenter(u)
 		} else if delta > 0 {
 			d += step
 		} else {
@@ -246,17 +366,22 @@ func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 		s.dist[i] = d
 	}
 
-	// Sample the characteristic with sensor noise, then quantise through
-	// the 10-bit ADC exactly like the board does.
-	v := s.sensor.Sample(d) + s.noiseSD*s.approxNorm(i)
+	// Sample the characteristic with sensor noise (an Irwin-Hall deviate
+	// of four uniforms: unit variance, no transcendental call), then
+	// quantise through the 10-bit ADC exactly like the board does. The
+	// float64 conversion keeps the noise product rounded on its own, never
+	// fused into the add.
+	r, u0 := r.next()
+	r, u1 := r.next()
+	r, u2 := r.next()
+	r, u3 := r.next()
+	sum := u64ToFloat(u0) + u64ToFloat(u1) + u64ToFloat(u2) + u64ToFloat(u3)
+	noise := (sum - 2) * 1.7320508075688772 // sqrt(12/4)
+	v := s.sensor.Sample(d) + float64(s.noiseSD*noise)
 	if v < 0 {
 		v = 0
 	}
-	code := int(v / adc.DefaultVref * float64(adc.MaxCode+1)) // truncating ADC
-	if code > adc.MaxCode {
-		code = adc.MaxCode
-	}
-	v = float64(code) * adc.DefaultVref / float64(adc.MaxCode+1)
+	v = s.adc.quantise(v)
 
 	// Median3 window, then EMA — the firmware's MedianEMA default.
 	w := s.win[3*i : 3*i+3 : 3*i+3]
@@ -278,46 +403,29 @@ func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 
 	// Acks for last tick's frames arrive before this tick's mapping, so
 	// the window drains one tick behind the sends.
-	if s.ackPend[i] > 0 {
-		s.outstanding[i] -= s.ackPend[i]
-		s.ackPend[i] = 0
-	}
+	s.outstanding[i] -= s.ackPend[i]
+	s.ackPend[i] = 0
 
-	// Island mapping with hysteresis (mapping.Mapper.Map in array form).
-	idx := s.mapVoltage(i, v)
-	if idx >= 0 && idx != int(s.cur[i]) {
+	// Island mapping with hysteresis: a device inside its current island's
+	// band stays on it; otherwise search. Unlike mapping.Mapper, a device
+	// between islands (-1) keeps its current island, so coming back to it
+	// emits nothing.
+	cur := int(s.cur[i])
+	idx := cur
+	if cur < 0 || !s.bands[cur].holds(v) {
+		idx = s.island(v)
+	}
+	if idx >= 0 && idx != cur {
 		s.cur[i] = int16(idx)
 		s.switches[i]++
-		s.emitFrame(i, bins, emit, atMillis)
-	} else if idx >= 0 {
-		s.cur[i] = int16(idx)
-	}
-}
-
-// mapVoltage returns the islands index (ascending-voltage order) selected
-// by v, honouring the hysteresis of the device's current island, or -1.
-func (s *StateSlab) mapVoltage(i int, v float64) int {
-	if c := s.cur[i]; c >= 0 {
-		is := &s.islands[c]
-		h := s.hyst * (is.Hi - is.Lo) / 2
-		if v >= is.Lo-h && v <= is.Hi+h {
-			return int(c)
+		lost := false
+		if s.lossProb > 0 {
+			r, u = r.next()
+			lost = u64ToFloat(u) < s.lossProb
 		}
+		s.emitFrame(i, lost, bins, emit, atMillis)
 	}
-	lo, hi := 0, len(s.islands)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		is := &s.islands[mid]
-		switch {
-		case v < is.Lo:
-			hi = mid - 1
-		case v > is.Hi:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
+	s.storeRNG(i, r)
 }
 
 // emitFrame accounts one scroll frame through the modelled reliable link:
@@ -325,12 +433,11 @@ func (s *StateSlab) mapVoltage(i int, v float64) int {
 // and the window bookkeeping records it on the air until next tick's ack.
 // With a latency accumulator attached it also bins the frame's modelled
 // end-to-end latency.
-func (s *StateSlab) emitFrame(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
+func (s *StateSlab) emitFrame(i int, lost bool, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
 	s.seq[i]++
 	s.sent[i]++
 	s.outstanding[i]++
 	s.ackPend[i]++
-	lost := s.lossProb > 0 && u64ToFloat(s.nextU64(i)) < s.lossProb
 	if lost {
 		s.lost[i]++
 		s.retransmits[i]++

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -61,6 +62,23 @@ func TestScaleWorkerCountIndependent(t *testing.T) {
 		if got != ref {
 			t.Fatalf("results depend on worker count:\n%d workers: %+v\nvs\n%+v", workers, got, ref)
 		}
+	}
+}
+
+// TestScaleGoldenTotals pins the scale path's results at one seed to the
+// perfbench scale workload's smoke reference: any change to the slab
+// kernel, its construction or the striping shows up here as a different
+// total, not only as a broken invariant.
+func TestScaleGoldenTotals(t *testing.T) {
+	res, err := RunScale(ScaleConfig{Devices: 20_000, Seed: 1, Workers: 1, Duration: time.Second, LossProb: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("ticks=%d frames=%d delivered=%d lost=%d switches=%d retransmits=%d",
+		res.Ticks, res.Frames, res.Delivered, res.Lost, res.Switches, res.Retransmits)
+	const want = "ticks=500000 frames=137463 delivered=137463 lost=1367 switches=137463 retransmits=1367"
+	if got != want {
+		t.Fatalf("scale totals at seed 1:\n got %s\nwant %s", got, want)
 	}
 }
 

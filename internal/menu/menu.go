@@ -155,8 +155,9 @@ func (m *Menu) MoveTo(index int) bool {
 func (m *Menu) Step(delta int) bool { return m.MoveTo(m.cursor + delta) }
 
 // Enter descends into the entry under the cursor. On an inner node the
-// cursor resets to its first child; on a leaf the Action (if any) runs and
-// the selection counter increments.
+// cursor resets to its first child; on a leaf the Action (if any) runs, the
+// selection counter increments and Enter returns ErrLeaf itself, unwrapped,
+// so a selection allocates nothing.
 func (m *Menu) Enter() error {
 	cur := m.CurrentEntry()
 	if cur.IsLeaf() {
@@ -164,7 +165,7 @@ func (m *Menu) Enter() error {
 		if cur.Action != nil {
 			cur.Action()
 		}
-		return fmt.Errorf("%w: %q", ErrLeaf, cur.Title)
+		return ErrLeaf
 	}
 	m.level = cur
 	m.cursor = 0

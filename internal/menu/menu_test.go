@@ -367,6 +367,23 @@ func TestWindowIsMatchesWindow(t *testing.T) {
 	}
 }
 
+// TestEnterLeafZeroAlloc pins the leaf-selection path: Enter on a leaf
+// returns the ErrLeaf sentinel without building an error per selection.
+func TestEnterLeafZeroAlloc(t *testing.T) {
+	m, err := New(FlatMenu(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Enter(); err != ErrLeaf {
+			t.Fatalf("enter leaf: %v, want ErrLeaf", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Enter on a leaf allocates %.1f times", allocs)
+	}
+}
+
 func TestWindowIsZeroAlloc(t *testing.T) {
 	m, err := New(PhoneMenu())
 	if err != nil {
