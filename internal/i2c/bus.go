@@ -50,14 +50,24 @@ const maxAddr = 0x77
 
 // Bus is a single-master I2C bus.
 type Bus struct {
-	slaves map[byte]Slave
+	// slaves holds one entry per address ever attached, in attach order. A
+	// board carries a handful of slaves, so a scan beats hashing, and the
+	// bus stays a few dozen bytes where a table indexed by address would
+	// cost every device a kilobyte or more.
+	slaves []attachment
 	// clockHz is the bus clock; standard mode is 100 kHz.
 	clockHz int
 	// stats carries every counter but PerSlaveOps, which Stats builds from
-	// perSlave: a transaction only ever reaches an attached address, so a
-	// fixed array replaces a map update per transaction.
-	stats    Stats
-	perSlave [maxAddr + 1]uint64
+	// the entries' ops.
+	stats Stats
+}
+
+// attachment is one address on the bus. Detach clears slave but keeps the
+// entry, so the address's transaction count survives into Stats.
+type attachment struct {
+	addr  byte
+	slave Slave
+	ops   uint64
 }
 
 // NewBus returns a bus running at the given clock rate (Hz). A rate <= 0
@@ -66,10 +76,25 @@ func NewBus(clockHz int) *Bus {
 	if clockHz <= 0 {
 		clockHz = 100_000
 	}
-	return &Bus{
-		slaves:  make(map[byte]Slave),
-		clockHz: clockHz,
+	return &Bus{clockHz: clockHz}
+}
+
+// entry returns the bus entry for addr, or nil if none was ever attached.
+func (b *Bus) entry(addr byte) *attachment {
+	for i := range b.slaves {
+		if b.slaves[i].addr == addr {
+			return &b.slaves[i]
+		}
 	}
+	return nil
+}
+
+// slave returns the entry of the slave attached at addr, or nil.
+func (b *Bus) slave(addr byte) *attachment {
+	if e := b.entry(addr); e != nil && e.slave != nil {
+		return e
+	}
+	return nil
 }
 
 // Attach registers a slave at a 7-bit address.
@@ -77,29 +102,35 @@ func (b *Bus) Attach(addr byte, s Slave) error {
 	if addr > maxAddr || addr < 0x08 {
 		return fmt.Errorf("%w: %#x", ErrInvalidAddress, addr)
 	}
-	if _, ok := b.slaves[addr]; ok {
+	e := b.entry(addr)
+	if e == nil {
+		b.slaves = append(b.slaves, attachment{addr: addr, slave: s})
+		return nil
+	}
+	if e.slave != nil {
 		return fmt.Errorf("%w: %#x", ErrAddressInUse, addr)
 	}
-	b.slaves[addr] = s
+	e.slave = s
 	return nil
 }
 
 // Detach removes the slave at addr, if any.
-func (b *Bus) Detach(addr byte) { delete(b.slaves, addr) }
-
-// Addresses returns the number of attached slaves.
-func (b *Bus) Addresses() int { return len(b.slaves) }
+func (b *Bus) Detach(addr byte) {
+	if e := b.entry(addr); e != nil {
+		e.slave = nil
+	}
+}
 
 // Write issues a master→slave write transaction.
 func (b *Bus) Write(addr byte, data []byte) error {
-	s, ok := b.slaves[addr]
-	if !ok {
+	e := b.slave(addr)
+	if e == nil {
 		b.stats.Nacks++
 		return fmt.Errorf("%w: %#x", ErrNack, addr)
 	}
 	b.stats.Writes++
-	b.account(addr, len(data))
-	if err := s.WriteBytes(data); err != nil {
+	b.account(e, len(data))
+	if err := e.slave.WriteBytes(data); err != nil {
 		return fmt.Errorf("i2c: write to %#x: %w", addr, err)
 	}
 	return nil
@@ -107,14 +138,14 @@ func (b *Bus) Write(addr byte, data []byte) error {
 
 // Read issues a slave→master read transaction of n bytes.
 func (b *Bus) Read(addr byte, n int) ([]byte, error) {
-	s, ok := b.slaves[addr]
-	if !ok {
+	e := b.slave(addr)
+	if e == nil {
 		b.stats.Nacks++
 		return nil, fmt.Errorf("%w: %#x", ErrNack, addr)
 	}
 	b.stats.Reads++
-	b.account(addr, n)
-	data, err := s.ReadBytes(n)
+	b.account(e, n)
+	data, err := e.slave.ReadBytes(n)
 	if err != nil {
 		return nil, fmt.Errorf("i2c: read from %#x: %w", addr, err)
 	}
@@ -122,18 +153,15 @@ func (b *Bus) Read(addr byte, n int) ([]byte, error) {
 }
 
 // Probe reports whether a slave acknowledges the address.
-func (b *Bus) Probe(addr byte) bool {
-	_, ok := b.slaves[addr]
-	return ok
-}
+func (b *Bus) Probe(addr byte) bool { return b.slave(addr) != nil }
 
 // Stats returns a copy of the accumulated bus statistics.
 func (b *Bus) Stats() Stats {
 	cp := b.stats
 	cp.PerSlaveOps = make(map[byte]uint64)
-	for addr, ops := range b.perSlave {
-		if ops != 0 {
-			cp.PerSlaveOps[byte(addr)] = ops
+	for _, e := range b.slaves {
+		if e.ops != 0 {
+			cp.PerSlaveOps[e.addr] = e.ops
 		}
 	}
 	return cp
@@ -141,10 +169,10 @@ func (b *Bus) Stats() Stats {
 
 // account records byte counts and bus occupancy time. Each byte costs nine
 // clock cycles (8 data bits + ACK), plus one address byte per transaction.
-func (b *Bus) account(addr byte, payload int) {
+func (b *Bus) account(e *attachment, payload int) {
 	bytes := uint64(payload) + 1
 	b.stats.Bytes += bytes
 	cycles := bytes * 9
 	b.stats.BusTime += time.Duration(float64(cycles) / float64(b.clockHz) * float64(time.Second))
-	b.perSlave[addr]++
+	e.ops++
 }

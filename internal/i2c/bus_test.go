@@ -98,12 +98,25 @@ func TestDetach(t *testing.T) {
 	if !b.Probe(0x3C) {
 		t.Fatal("probe after attach failed")
 	}
+	if err := b.Write(0x3C, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
 	b.Detach(0x3C)
 	if b.Probe(0x3C) {
 		t.Fatal("probe after detach succeeded")
 	}
-	if b.Addresses() != 0 {
-		t.Fatalf("addresses = %d", b.Addresses())
+	if err := b.Write(0x3C, []byte{1}); !errors.Is(err, ErrNack) {
+		t.Fatalf("write after detach: %v", err)
+	}
+	if ops := b.Stats().PerSlaveOps[0x3C]; ops != 1 {
+		t.Fatalf("per-slave ops after detach = %d, want 1", ops)
+	}
+	b.Detach(0x3D) // never attached: a no-op
+	if err := b.Attach(0x3C, &echoSlave{}); err != nil {
+		t.Fatalf("re-attach after detach: %v", err)
+	}
+	if !b.Probe(0x3C) || b.Probe(0x3D) {
+		t.Fatal("probe after re-attach: want only 0x3c")
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 
 // TestCRC16TableMatchesBitwise pins the table-driven CRC16 byte-identical
 // to the bit-at-a-time reference over known vectors, every single-byte
-// input, and randomized buffers up to a full frame. The wire format cannot
+// input, every length from 0 to 64 (each split into 8-byte blocks and a
+// byte-wise tail), and randomized buffers up to a full frame. The wire format cannot
 // tolerate even one diverging polynomial step: a mismatch would make every
 // frame encoded by one implementation fail the other's integrity check.
 func TestCRC16TableMatchesBitwise(t *testing.T) {
@@ -28,6 +29,15 @@ func TestCRC16TableMatchesBitwise(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(42))
+	for n := 0; n <= 64; n++ {
+		buf := make([]byte, n)
+		for trial := 0; trial < 8; trial++ {
+			rng.Read(buf)
+			if got, want := CRC16(buf), crc16Bitwise(buf); got != want {
+				t.Fatalf("length %d trial %d: table %#04x, bitwise %#04x", n, trial, got, want)
+			}
+		}
+	}
 	for trial := 0; trial < 500; trial++ {
 		buf := make([]byte, 1+rng.Intn(maxFrame))
 		rng.Read(buf)
@@ -56,8 +66,8 @@ func TestCRC16RejectsEveryBitFlip(t *testing.T) {
 
 var crcSink uint16
 
-// BenchmarkCRC16 times the table-driven CRC against the bitwise oracle
-// over a 25-byte frame body.
+// BenchmarkCRC16 times the slicing-by-8 CRC against the bitwise oracle
+// over a 25-byte frame body: three 8-byte blocks and a one-byte tail.
 func BenchmarkCRC16(b *testing.B) {
 	body := make([]byte, 25)
 	for _, bc := range []struct {

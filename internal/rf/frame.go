@@ -37,13 +37,16 @@ var (
 	ErrBadCRC = errors.New("rf: bad crc")
 )
 
-// crcTable is the byte-at-a-time lookup table for CRC-16/CCITT-FALSE:
-// entry i is the CRC state transition for a high byte of i. It turns the
-// 8-iteration bit loop per byte into one load and two shifts, which is what
-// takes the frame codec from ~350ns of CRC per 25-byte frame down to ~20ns
-// — the single largest cost on the ingest tier's decode path.
-var crcTable = func() (t [256]uint16) {
-	for i := range t {
+// crcTable holds the slicing-by-8 lookup tables for CRC-16/CCITT-FALSE.
+// crcTable[0][i] is the CRC state transition for a high byte of i, the
+// byte-at-a-time table; crcTable[k][i] is that byte's contribution once k
+// more bytes have followed it. CRC16 folds eight bytes per step with eight
+// independent loads. Over a 25-byte frame body that takes ~19 ns, against
+// ~46 ns byte by byte and ~300 ns bit by bit (BenchmarkCRC16, medians of
+// six, 2-vCPU Intel Xeon): the CRC is the frame codec's largest cost on
+// both the device encode and the gateway decode.
+var crcTable = func() (t [8][256]uint16) {
+	for i := range t[0] {
 		crc := uint16(i) << 8
 		for b := 0; b < 8; b++ {
 			if crc&0x8000 != 0 {
@@ -52,19 +55,31 @@ var crcTable = func() (t [256]uint16) {
 				crc <<= 1
 			}
 		}
-		t[i] = crc
+		t[0][i] = crc
+	}
+	for k := 1; k < len(t); k++ {
+		for i, prev := range t[k-1] {
+			t[k][i] = prev<<8 ^ t[0][prev>>8]
+		}
 	}
 	return t
 }()
 
-// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) using the
-// byte-wise lookup table. TestCRC16TableMatchesBitwise pins it against a
-// bit-at-a-time oracle over known vectors, every single-byte input and
-// randomized buffers.
+// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), eight
+// bytes per step through the sliced tables and the last len%8 bytes one at
+// a time. TestCRC16TableMatchesBitwise pins it against a bit-at-a-time
+// oracle over known vectors, every single-byte input, every length up to
+// 64 and randomized buffers.
 func CRC16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
+	for ; len(data) >= 8; data = data[8:] {
+		crc = crcTable[7][data[0]^byte(crc>>8)] ^ crcTable[6][data[1]^byte(crc)] ^
+			crcTable[5][data[2]] ^ crcTable[4][data[3]] ^
+			crcTable[3][data[4]] ^ crcTable[2][data[5]] ^
+			crcTable[1][data[6]] ^ crcTable[0][data[7]]
+	}
 	for _, b := range data {
-		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		crc = crc<<8 ^ crcTable[0][byte(crc>>8)^b]
 	}
 	return crc
 }

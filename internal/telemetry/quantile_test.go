@@ -73,7 +73,7 @@ func TestQuantileLinearInterpolation(t *testing.T) {
 	if got := h.Quantile(0.5); got != 15 {
 		t.Fatalf("uniform median = %g, want 15", got)
 	}
-	if got := h.Quantile(1.0/3.0); got != 10 {
+	if got := h.Quantile(1.0 / 3.0); got != 10 {
 		t.Fatalf("q=1/3 = %g, want the first bound 10", got)
 	}
 	if got := h.Quantile(1); got != 30 {

@@ -63,13 +63,13 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		newHistogram(bounds),
 		NewLocalHistogram(bounds),
 	} {
-		h.Observe(0)               // bucket 0 (<= 1)
-		h.Observe(1)               // bucket 0, exactly on the bound
+		h.Observe(0)                    // bucket 0 (<= 1)
+		h.Observe(1)                    // bucket 0, exactly on the bound
 		h.Observe(math.Nextafter(1, 2)) // bucket 1
-		h.Observe(2)               // bucket 1
-		h.Observe(5)               // bucket 2
-		h.Observe(5.0001)          // overflow
-		h.Observe(1e9)             // overflow
+		h.Observe(2)                    // bucket 1
+		h.Observe(5)                    // bucket 2
+		h.Observe(5.0001)               // overflow
+		h.Observe(1e9)                  // overflow
 		s := h.Snapshot()
 		want := []uint64{2, 2, 1, 2}
 		for i, w := range want {
