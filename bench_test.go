@@ -430,6 +430,26 @@ func BenchmarkFleetScroll(b *testing.B) {
 	b.ReportMetric(float64(tot.Events), "events")
 }
 
+// BenchmarkFleetNew measures fleet set-up alone: one op assembles the
+// perfbench fleet-arq shape, 2,000 reliable devices on a 5%-loss burst
+// channel with a lossy ack back-channel, without running them. Every
+// device shares the fleet's menu tree and island table, so allocs/op
+// counts only per-device state.
+func BenchmarkFleetNew(b *testing.B) {
+	const devices = 2000
+	cfg := fleet.Config{Devices: devices, Seed: 1, Workers: 1, Reliable: true, Core: core.DefaultConfig()}
+	cfg.Core.Link.LossProb = 0.05
+	cfg.Core.Link.BurstLossProb = 0.01
+	cfg.Core.Link.BurstLossLen = 5
+	cfg.Core.Link.AckLossProb = 0.05
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := fleet.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkA4RFCodec isolates the link codec: encode one telemetry message
 // into a frame and decode it back.
 func BenchmarkA4RFCodec(b *testing.B) {

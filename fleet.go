@@ -7,7 +7,6 @@ import (
 	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/fleet"
 	"github.com/hcilab/distscroll/internal/hubnet"
-	"github.com/hcilab/distscroll/internal/menu"
 	"github.com/hcilab/distscroll/internal/rf"
 	"github.com/hcilab/distscroll/internal/telemetry"
 )
@@ -72,7 +71,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 		Devices:  n,
 		Seed:     cfg.core.Seed,
 		Core:     cfg.core,
-		Menu:     func() *menu.Node { return cfg.root.toNode() },
+		Menu:     cfg.root.toNode(),
 		Metrics:  cfg.core.Metrics,
 		Reliable: cfg.core.Reliable,
 		ARQ:      cfg.core.ARQ,

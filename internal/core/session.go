@@ -65,7 +65,7 @@ type Session struct {
 	// latency histogram. The bare demux path (no log, no metrics) never
 	// takes it.
 	mu     sync.Mutex
-	events []Event // retained log for tests, replay and the study harness
+	events []logRecord // retained log for tests, replay and the study harness
 
 	// lat records per-frame end-to-end pipeline latency (device stamp →
 	// host arrival, milliseconds). It is a LocalHistogram synchronised by
@@ -76,6 +76,36 @@ type Session struct {
 	// dispatch records handler+tap dispatch wall time. It is only sampled
 	// when a handler or tap is actually registered.
 	dispatch *telemetry.Histogram
+}
+
+// logRecord is one retained event in 24 B, against Event's 56: the
+// message fields Event is built from, at their wire widths, and the
+// arrival time. A fleet hub retains every event of every device.
+type logRecord struct {
+	at        time.Duration
+	atMillis  uint32
+	device    uint32
+	index     int16
+	island    int16
+	voltageMV uint16
+	kind      rf.MsgKind
+	button    byte
+}
+
+// event expands the record into the Event that handlers receive for the
+// same message; Events and dispatch both build events here.
+func (r *logRecord) event() Event {
+	m := rf.Message{AtMillis: r.atMillis}
+	return Event{
+		Kind:       r.kind,
+		Device:     r.device,
+		Index:      int(r.index),
+		Button:     r.button,
+		DeviceTime: m.Timestamp(),
+		HostTime:   r.at,
+		Voltage:    float64(r.voltageMV) / 1000,
+		Island:     int(r.island),
+	}
 }
 
 // sessionHandlers is one immutable registration snapshot.
@@ -330,7 +360,9 @@ func (s *Session) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Event, len(s.events))
-	copy(out, s.events)
+	for i := range s.events {
+		out[i] = s.events[i].event()
+	}
 	return out
 }
 
@@ -446,19 +478,19 @@ func (s *Session) Consume(m rf.Message, at time.Duration) {
 		return
 	}
 
-	ev := Event{
-		Kind:       m.Kind,
-		Device:     m.Device,
-		Index:      int(m.Index),
-		Button:     m.Button,
-		DeviceTime: m.Timestamp(),
-		HostTime:   at,
-		Voltage:    float64(m.VoltageMV) / 1000,
-		Island:     int(m.Island),
+	rec := logRecord{
+		at:        at,
+		atMillis:  m.AtMillis,
+		device:    m.Device,
+		index:     m.Index,
+		island:    m.Island,
+		voltageMV: m.VoltageMV,
+		kind:      m.Kind,
+		button:    m.Button,
 	}
 	if s.keepLog {
 		s.mu.Lock()
-		s.events = append(s.events, ev)
+		s.events = append(s.events, rec)
 		s.mu.Unlock()
 	}
 
@@ -469,6 +501,7 @@ func (s *Session) Consume(m rf.Message, at time.Duration) {
 	if handler == nil && len(taps) == 0 {
 		return
 	}
+	ev := rec.event()
 	dispatch := s.dispatch
 	var start time.Time
 	if dispatch != nil {

@@ -279,7 +279,7 @@ func TestLazyRaster(t *testing.T) {
 		d, ref := New(), newRef()
 		for i, step := range steps {
 			step(d, ref)
-			if err := sameAsRef(d, ref); err != nil {
+			if err := samePixelsAsRef(d, ref); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
 		}

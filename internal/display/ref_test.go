@@ -119,14 +119,40 @@ func (d *refDisplay) rasterizeLine(row int) {
 	}
 }
 
-// sameAsRef reports the first difference between the panel and the
-// reference: a pixel, the lit count, a text line or a register.
-func sameAsRef(d *Display, ref *refDisplay) error {
+// packed packs the reference framebuffer the way Display stores its own:
+// pixel x of row y is bit x&63 of word x>>6.
+func (d *refDisplay) packed() (rows [HeightPx][2]uint64) {
+	for y := range d.pixels {
+		for x, on := range d.pixels[y] {
+			if on {
+				rows[y][x>>6] |= 1 << (x & 63)
+			}
+		}
+	}
+	return rows
+}
+
+// samePixelsAsRef is sameAsRef with the framebuffer read pixel by pixel
+// through Pixel.
+func samePixelsAsRef(d *Display, ref *refDisplay) error {
 	for y := 0; y < HeightPx; y++ {
 		for x := 0; x < WidthPx; x++ {
 			if d.Pixel(x, y) != ref.pixels[y][x] {
 				return fmt.Errorf("pixel (%d,%d) = %v, reference %v", x, y, d.Pixel(x, y), ref.pixels[y][x])
 			}
+		}
+	}
+	return sameAsRef(d, ref)
+}
+
+// sameAsRef reports the first difference between the panel and the
+// reference: a packed framebuffer row, the lit count, a text line or a
+// register.
+func sameAsRef(d *Display, ref *refDisplay) error {
+	got, want := d.packedRows(), ref.packed()
+	for y := range got {
+		if got[y] != want[y] {
+			return fmt.Errorf("pixel row %d = %#x, reference %#x", y, got[y], want[y])
 		}
 	}
 	if got, want := d.LitPixels(), ref.LitPixels(); got != want {
@@ -193,7 +219,7 @@ func TestPackedMatchesReference(t *testing.T) {
 			if !sameErr(got, want) {
 				t.Fatalf("seed %d op %d %s: err %v, reference %v", seed, op, desc, got, want)
 			}
-			if err := sameAsRef(d, ref); err != nil {
+			if err := samePixelsAsRef(d, ref); err != nil {
 				t.Fatalf("seed %d op %d %s: %v", seed, op, desc, err)
 			}
 		}

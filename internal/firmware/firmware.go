@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/hcilab/distscroll/internal/buttons"
 	devctx "github.com/hcilab/distscroll/internal/context"
 	"github.com/hcilab/distscroll/internal/display"
+	"github.com/hcilab/distscroll/internal/gp2d120"
 	"github.com/hcilab/distscroll/internal/mapping"
 	"github.com/hcilab/distscroll/internal/menu"
 	"github.com/hcilab/distscroll/internal/rf"
@@ -151,10 +153,12 @@ type Firmware struct {
 	seq        uint16
 	lastDebug  time.Duration
 	lastBeat   time.Duration
-	lastIndex  int
 	prevIndex  int
 	lastTopWin [][]byte // top-panel rows last drawn, reused; empty forces a redraw
-	started    bool
+	// topLevel and topCursor are the menu position lastTopWin shows.
+	topLevel  *menu.Node
+	topCursor int
+	started   bool
 	// txBuf is the reusable marshal scratch for send: the firmware emits a
 	// frame every few virtual milliseconds for the whole run, so marshalling
 	// into a fresh slice each time would dominate the device-side allocation
@@ -204,7 +208,6 @@ func New(cfg Config, board *smartits.Board, m *menu.Menu, tx Sender) (*Firmware,
 		menu:      m,
 		filter:    f,
 		tx:        tx,
-		lastIndex: -1,
 		prevIndex: -1,
 	}
 	if cfg.ContextSensing {
@@ -257,17 +260,49 @@ func (fw *Firmware) rebuildMapper() error {
 		cfg = mapping.DefaultConfig(fw.menu.Len())
 	}
 	cfg.Entries = fw.menu.Len()
-	m, err := mapping.New(cfg, fw.board.Sensor.Ideal)
+	t, err := islandTable(cfg, fw.board.Sensor)
 	if err != nil {
 		return fmt.Errorf("firmware: rebuild mapper: %w", err)
 	}
-	fw.mapper = m
+	fw.mapper = t.NewMapper()
 	fw.lastMap = mapping.MapStats{}
 	fw.filter.Reset()
 	fw.resetRelative()
-	fw.lastIndex = -1
 	fw.prevIndex = -1
 	return nil
+}
+
+// islandKey is what an island table depends on: the mapping configuration
+// and the sensor's characteristic, whose Ideal curve reads only A, B and C
+// of the sensor configuration.
+type islandKey struct {
+	mapping mapping.Config
+	sensor  gp2d120.Config
+}
+
+// islandTables guards the shared island tables. A table is read-only once
+// built, so every device of a fleet, and every level of equal size it
+// enters, maps over one table per key.
+var (
+	islandTablesMu sync.Mutex
+	islandTables   = map[islandKey]*mapping.Table{}
+)
+
+// islandTable returns the shared island table for cfg over the sensor's
+// ideal characteristic, building it on first use.
+func islandTable(cfg mapping.Config, s *gp2d120.Sensor) (*mapping.Table, error) {
+	key := islandKey{mapping: cfg, sensor: s.Config()}
+	islandTablesMu.Lock()
+	defer islandTablesMu.Unlock()
+	if t, ok := islandTables[key]; ok {
+		return t, nil
+	}
+	t, err := mapping.NewTable(cfg, s.Ideal)
+	if err != nil {
+		return nil, err
+	}
+	islandTables[key] = t
+	return t, nil
 }
 
 // mirrorMapStats folds the mapper's counter deltas since the last cycle
@@ -353,7 +388,6 @@ func (fw *Firmware) Step(now time.Duration) error {
 		fw.noteActivity(now)
 		fw.send(rf.Message{Kind: rf.MsgScroll, Index: int16(index)}, now)
 	}
-	fw.lastIndex = index
 
 	// 2b. Context sensing (Section 4.3 extension): classify posture and
 	// hand, adapting the button roles on a slidable layout.
@@ -449,11 +483,20 @@ func (fw *Firmware) handleBack(now time.Duration) error {
 // when nothing changed (the 100 kHz bus is the slowest path in the loop).
 // A bus error degrades the UI (stale display) instead of halting the
 // firmware; the write is retried on the next cycle.
+//
+// The menu tree is read-only while devices run, so a window last drawn
+// whole at the same level and cursor is still on the panel and the title
+// compare is skipped.
 func (fw *Firmware) drawTop() error {
+	level, cursor := fw.menu.Level(), fw.menu.Cursor()
+	if len(fw.lastTopWin) > 0 && level == fw.topLevel && cursor == fw.topCursor {
+		return nil
+	}
 	if fw.menu.WindowIs(display.TextLines, fw.lastTopWin) {
 		return nil
 	}
 	fw.lastTopWin = fw.menu.AppendWindow(fw.lastTopWin[:0], display.TextLines)
+	fw.topLevel, fw.topCursor = level, cursor
 	fw.stats.displayWrites.Add(1)
 	fw.i2cBuf = append(fw.i2cBuf[:0], display.CmdClear)
 	if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.i2cBuf); err != nil {

@@ -1,11 +1,13 @@
 package firmware
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/hcilab/distscroll/internal/buttons"
+	"github.com/hcilab/distscroll/internal/mapping"
 	"github.com/hcilab/distscroll/internal/menu"
 	"github.com/hcilab/distscroll/internal/rf"
 	"github.com/hcilab/distscroll/internal/sim"
@@ -356,5 +358,42 @@ func TestDrawTopZeroAlloc(t *testing.T) {
 	}
 	if got := r.board.Top.Line(2); !strings.HasPrefix(got, "> ") {
 		t.Fatalf("centre row %q is not the cursor row", got)
+	}
+}
+
+// TestIslandTableFollowsSensor checks the shared island-table cache is keyed
+// by the sensor characteristic: firmwares on sensors with different curves
+// map over their own sensor's islands, and equal sensors share one table.
+func TestIslandTableFollowsSensor(t *testing.T) {
+	build := func(a float64) *Firmware {
+		boardCfg := smartits.DefaultConfig()
+		boardCfg.Sensor.A = a
+		board, err := smartits.Assemble(boardCfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := menu.New(menu.FlatMenu(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw, err := New(DefaultConfig(), board, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mapping.New(mapping.DefaultConfig(8), board.Sensor.Ideal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fw.Mapper().Islands(); !slices.Equal(got, want.Islands()) {
+			t.Fatalf("A=%g: firmware maps over %+v, want %+v", a, got, want.Islands())
+		}
+		return fw
+	}
+	a, b := build(13), build(11)
+	if a.Mapper().Table == b.Mapper().Table {
+		t.Fatal("sensors with different curves share an island table")
+	}
+	if build(13).Mapper().Table != a.Mapper().Table {
+		t.Fatal("equal sensors build separate island tables")
 	}
 }

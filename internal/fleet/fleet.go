@@ -66,9 +66,11 @@ type Config struct {
 	// log flag are overwritten per device. The zero value means
 	// core.DefaultConfig().
 	Core core.Config
-	// Menu builds a fresh menu tree per device (trees hold navigation
-	// state, so devices cannot share one). Nil means a flat 12-entry menu.
-	Menu func() *menu.Node
+	// Menu is the root of the menu tree every device navigates. Navigation
+	// state lives in each device's menu.Menu, so the devices share the tree,
+	// which must not be edited once New has built them. Nil means a flat
+	// 12-entry menu.
+	Menu *menu.Node
 	// Script is the workload every device runs; nil picks ScriptFor sized
 	// to the menu's root level.
 	Script Script
@@ -193,7 +195,7 @@ func New(cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("fleet: need at least 1 device, got %d", cfg.Devices)
 	}
 	if cfg.Menu == nil {
-		cfg.Menu = func() *menu.Node { return menu.FlatMenu(12) }
+		cfg.Menu = menu.FlatMenu(12)
 	}
 	// core.Config holds func fields and so is not comparable; a template
 	// with neither a radio nor a sample period is taken as the zero value.
@@ -222,7 +224,7 @@ func New(cfg Config) (*Runner, error) {
 		// The hub keeps the logs; the per-device host would be a second,
 		// unused copy.
 		c.KeepEventLog = false
-		dev, err := core.NewDevice(c, cfg.Menu())
+		dev, err := core.NewDevice(c, cfg.Menu)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %d: %w", id, err)
 		}

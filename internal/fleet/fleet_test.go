@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"testing"
@@ -193,8 +195,9 @@ func TestFleetWheelHeapIdentical(t *testing.T) {
 
 // TestFleetBytesPerDevice pins the per-device footprint of a built fleet:
 // the live heap after New of 2,000 reliable devices (full device graph, ARQ,
-// hub session) stays within 16 KiB per device. A fixed-size per-device
-// event scheduler of 16.5 KB alone would exceed it.
+// hub session) stays within 7 KiB per device. A menu tree and an island
+// table per device (1.6 KB together for the default 12-entry menu) would
+// exceed it.
 func TestFleetBytesPerDevice(t *testing.T) {
 	const devices = 2000
 	var before, after runtime.MemStats
@@ -209,8 +212,59 @@ func TestFleetBytesPerDevice(t *testing.T) {
 	runtime.KeepAlive(r)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / devices
 	t.Logf("live heap after New: %d B per device", per)
-	if per > 16<<10 {
-		t.Fatalf("live heap after New is %d B per device, want <= %d B", per, 16<<10)
+	if per > 7<<10 {
+		t.Fatalf("live heap after New is %d B per device, want <= %d B", per, 7<<10)
+	}
+}
+
+// TestFleetSharesTemplate pins what a fleet builds once: every device
+// navigates the one menu tree and maps over one island table per level
+// size, and Enter and Back take the new level's table from the shared
+// cache rather than building their own.
+func TestFleetSharesTemplate(t *testing.T) {
+	root := menu.PhoneMenu()
+	enter := Script{{Entry: 3, Glide: 400 * time.Millisecond, Dwell: 300 * time.Millisecond, Select: true}}
+	r, err := New(Config{Devices: 4, Seed: 3, Workers: 2, Menu: root, Script: enter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootTable := r.Device(0).Firmware.Mapper().Table
+	for i := 0; i < r.Len(); i++ {
+		dev := r.Device(i)
+		if dev.Menu.Root() != root {
+			t.Fatalf("device %d navigates its own menu tree", i+1)
+		}
+		if dev.Firmware.Mapper().Table != rootTable {
+			t.Fatalf("device %d maps over its own island table", i+1)
+		}
+	}
+	if _, err := r.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	sub := r.Device(0).Firmware.Mapper().Table
+	if sub == rootTable || sub.Config().Entries != r.Device(0).Menu.Len() {
+		t.Fatalf("after Enter device 1 maps %d entries over the root table %v", sub.Config().Entries, sub == rootTable)
+	}
+	for i := 0; i < r.Len(); i++ {
+		dev := r.Device(i)
+		if dev.Menu.Depth() != 1 || dev.Firmware.Mapper().Table != sub {
+			t.Fatalf("device %d at depth %d does not share the submenu's island table", i+1, dev.Menu.Depth())
+		}
+	}
+
+	back := append(enter, Step{Entry: 0, Glide: 300 * time.Millisecond, Dwell: 300 * time.Millisecond, Back: true})
+	r, err = New(Config{Devices: 4, Seed: 3, Workers: 2, Menu: root, Script: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < r.Len(); i++ {
+		dev := r.Device(i)
+		if dev.Menu.Depth() != 0 || dev.Firmware.Mapper().Table != rootTable {
+			t.Fatalf("device %d at depth %d does not map over the cached root table after Back", i+1, dev.Menu.Depth())
+		}
 	}
 }
 
@@ -254,7 +308,7 @@ func TestFleetCustomScriptAndMenu(t *testing.T) {
 	cfg := Config{
 		Devices: 3,
 		Seed:    5,
-		Menu:    func() *menu.Node { return menu.FlatMenu(8) },
+		Menu:    menu.FlatMenu(8),
 		Script: Script{
 			{Entry: 7, Glide: 300 * time.Millisecond, Dwell: 300 * time.Millisecond},
 			{Entry: 1, Glide: 300 * time.Millisecond, Dwell: 400 * time.Millisecond},
@@ -306,5 +360,38 @@ func TestFleetPerDeviceHandlers(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("device %d scroll handler never fired", i+1)
 		}
+	}
+}
+
+// TestFleetARQGoldenTotals pins the reliable fleet's results at one seed to
+// the perfbench fleet-arq workload's smoke shape: 200 devices on a 5%-loss
+// channel with loss bursts and a lossy ack back-channel. Any change to the
+// device graph, its construction or the hub's event log shows up here as a
+// different total or a different event-stream hash, not only as a broken
+// invariant.
+func TestFleetARQGoldenTotals(t *testing.T) {
+	cfg := Config{Devices: 200, Seed: 5, Workers: 1, Reliable: true, Core: core.DefaultConfig()}
+	cfg.Core.Link.LossProb = 0.05
+	cfg.Core.Link.BurstLossProb = 0.01
+	cfg.Core.Link.BurstLossLen = 5
+	cfg.Core.Link.AckLossProb = 0.05
+	r, results := runFleet(t, cfg)
+	tot := r.Total(results)
+	got := fmt.Sprintf("sent=%d delivered=%d lost=%d corrupted=%d decoded=%d events=%d retransmits=%d timeouts=%d queue_drops=%d acks_sent=%d acks_lost=%d stale=%d resyncs=%d missed_seq=%d",
+		tot.Sent, tot.Delivered, tot.Lost, tot.Corrupted, tot.Decoded, tot.Events, tot.Retransmits,
+		tot.Timeouts, tot.QueueDrops, tot.AcksSent, tot.AcksLost, tot.Stale, tot.Resyncs, tot.MissedSeq)
+	const want = "sent=7656 delivered=6923 lost=723 corrupted=10 decoded=6923 events=6270 retransmits=1386 timeouts=641 queue_drops=0 acks_sent=6923 acks_lost=352 stale=172 resyncs=0 missed_seq=0"
+	if got != want {
+		t.Fatalf("fleet-arq totals at seed 5:\n got %s\nwant %s", got, want)
+	}
+	h := sha256.New()
+	for i := 0; i < r.Len(); i++ {
+		for _, e := range r.Session(i).Events() {
+			fmt.Fprintf(h, "%d %+v\n", i, e)
+		}
+	}
+	const wantHash = "2ea27f424a4d71edab39d171d2ba1aecb6ed6cbf742a7a8a0df43ec92113d397"
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantHash {
+		t.Fatalf("event streams at seed 5 hash to %s, want %s", sum, wantHash)
 	}
 }

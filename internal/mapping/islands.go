@@ -95,11 +95,20 @@ type MapStats struct {
 	Misses uint64
 }
 
-// Mapper maps filtered sensor voltages to entry indices.
-type Mapper struct {
+// Table is the island layout of one configuration over one sensor
+// characteristic. It is read-only once built, so any number of mappers, on
+// any number of goroutines, may share it.
+type Table struct {
 	cfg     Config
 	islands []Island // sorted by ascending voltage
-	current int      // active island index into islands, -1 when none
+}
+
+// Mapper maps filtered sensor voltages to entry indices. It is the
+// per-device state (the active island and the counters) over a shared
+// Table, whose read-only methods it carries.
+type Mapper struct {
+	*Table
+	current int // active island index into islands, -1 when none
 	stats   MapStats
 }
 
@@ -114,8 +123,19 @@ var (
 	ErrNotMonotone = errors.New("mapping: characteristic not strictly decreasing")
 )
 
-// New builds a mapper from a configuration and a sensor characteristic.
+// New builds a mapper over a fresh table from a configuration and a sensor
+// characteristic.
 func New(cfg Config, ch Characteristic) (*Mapper, error) {
+	t, err := NewTable(cfg, ch)
+	if err != nil {
+		return nil, err
+	}
+	return t.NewMapper(), nil
+}
+
+// NewTable builds the island table of a configuration and a sensor
+// characteristic.
+func NewTable(cfg Config, ch Characteristic) (*Table, error) {
 	if cfg.Entries < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrNoEntries, cfg.Entries)
 	}
@@ -135,7 +155,7 @@ func New(cfg Config, ch Characteristic) (*Mapper, error) {
 		return nil, errors.New("mapping: characteristic is required")
 	}
 
-	m := &Mapper{cfg: cfg, current: -1}
+	t := &Table{cfg: cfg}
 
 	// Step 1+2: distribute entry centres equally over the physical range.
 	centres := make([]float64, cfg.Entries)
@@ -161,7 +181,7 @@ func New(cfg Config, ch Characteristic) (*Mapper, error) {
 	// Step 4: islands with gaps. Each island spans (1-gap)/2 of the way
 	// towards each neighbour; the outermost islands extend symmetrically.
 	cover := (1 - cfg.GapFraction) / 2
-	m.islands = make([]Island, cfg.Entries)
+	t.islands = make([]Island, cfg.Entries)
 	for i := range volts {
 		is := Island{DistanceCm: centres[i], Center: volts[i]}
 		// Entry index depends on direction: with TowardsIsDown, the
@@ -188,21 +208,25 @@ func New(cfg Config, ch Characteristic) (*Mapper, error) {
 		}
 		is.Hi = volts[i] + cover*spanDown
 		is.Lo = volts[i] - cover*spanUp
-		m.islands[i] = is
+		t.islands[i] = is
 	}
 
 	// Store ascending by voltage for binary search.
-	sort.Slice(m.islands, func(a, b int) bool { return m.islands[a].Center < m.islands[b].Center })
-	return m, nil
+	sort.Slice(t.islands, func(a, b int) bool { return t.islands[a].Center < t.islands[b].Center })
+	return t, nil
 }
 
-// Config returns the mapper configuration.
-func (m *Mapper) Config() Config { return m.cfg }
+// NewMapper returns a mapper over the table with no active island and zero
+// counters.
+func (t *Table) NewMapper() *Mapper { return &Mapper{Table: t, current: -1} }
+
+// Config returns the table's configuration.
+func (t *Table) Config() Config { return t.cfg }
 
 // Islands returns a copy of the islands sorted by ascending voltage.
-func (m *Mapper) Islands() []Island {
-	out := make([]Island, len(m.islands))
-	copy(out, m.islands)
+func (t *Table) Islands() []Island {
+	out := make([]Island, len(t.islands))
+	copy(out, t.islands)
 	return out
 }
 
@@ -264,8 +288,8 @@ func (m *Mapper) Map(v float64) (index int, active bool) {
 func (m *Mapper) Stats() MapStats { return m.stats }
 
 // IslandFor returns the island belonging to an entry index.
-func (m *Mapper) IslandFor(index int) (Island, bool) {
-	for _, is := range m.islands {
+func (t *Table) IslandFor(index int) (Island, bool) {
+	for _, is := range t.islands {
 		if is.Index == index {
 			return is, true
 		}
@@ -275,8 +299,8 @@ func (m *Mapper) IslandFor(index int) (Island, bool) {
 
 // DistanceFor returns the physical centre distance of an entry index, which
 // the hand model steers towards.
-func (m *Mapper) DistanceFor(index int) (float64, error) {
-	is, ok := m.IslandFor(index)
+func (t *Table) DistanceFor(index int) (float64, error) {
+	is, ok := t.IslandFor(index)
 	if !ok {
 		return 0, fmt.Errorf("mapping: no island for entry %d", index)
 	}
@@ -285,9 +309,9 @@ func (m *Mapper) DistanceFor(index int) (float64, error) {
 
 // EntryWidthCm returns the physical width (cm) of one entry's island plus
 // gap — the effective target width W for Fitts's-law analysis.
-func (m *Mapper) EntryWidthCm() float64 {
-	if m.cfg.Entries <= 1 {
-		return m.cfg.FarCm - m.cfg.NearCm
+func (t *Table) EntryWidthCm() float64 {
+	if t.cfg.Entries <= 1 {
+		return t.cfg.FarCm - t.cfg.NearCm
 	}
-	return (m.cfg.FarCm - m.cfg.NearCm) / float64(m.cfg.Entries-1)
+	return (t.cfg.FarCm - t.cfg.NearCm) / float64(t.cfg.Entries-1)
 }

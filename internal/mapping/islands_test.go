@@ -289,3 +289,28 @@ func TestGapFractionZeroTouchingIslandsStillWork(t *testing.T) {
 		}
 	}
 }
+
+// TestMappersShareTable checks that mappers over one table read one island
+// array yet keep their own active island and counters, and that Islands
+// hands out a copy that cannot edit the shared table.
+func TestMappersShareTable(t *testing.T) {
+	tab, err := NewTable(DefaultConfig(5), characteristic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tab.NewMapper(), tab.NewMapper()
+	if &a.islands[0] != &b.islands[0] {
+		t.Fatal("mappers over one table hold separate island arrays")
+	}
+	is := tab.Islands()[2]
+	if idx, active := a.Map(is.Center); !active || idx != is.Index {
+		t.Fatalf("Map(centre) = %d, %t", idx, active)
+	}
+	if b.Current() != -1 || b.Stats() != (MapStats{}) {
+		t.Fatalf("a's lookup moved b: current %d, stats %+v", b.Current(), b.Stats())
+	}
+	tab.Islands()[2].Lo = is.Hi
+	if tab.Islands()[2] != is {
+		t.Fatal("editing the Islands copy changed the table")
+	}
+}

@@ -13,7 +13,10 @@ import (
 	"strings"
 )
 
-// Node is one entry of a hierarchical menu.
+// Node is one entry of a hierarchical menu. A tree holds no navigation
+// state (that lives in Menu), so many menus may navigate one tree; a tree
+// shared that way, as a fleet's devices share theirs, must not be edited
+// once they are built.
 type Node struct {
 	Title    string
 	Children []*Node
