@@ -33,8 +33,8 @@ func TestHotPathInlines(t *testing.T) {
 		callees      []string
 	}{
 		{"soa.go", "StateSlab.tick", []string{
-			"xoshiro.next", "band.holds", "(*StateSlab).island", "(*adcTables).quantise",
-			"median3", "u64ToFloat"}},
+			"xoshiro.next", "band.holds", "(*StateSlab).island", "(*adcTables).code",
+			"median3", "(*StateSlab).randomIsland", "u64ToFloat"}},
 		{"hub.go", "Hub.find", []string{"(*sessionTable).lookup"}},
 		{"hub.go", "Hub.Consume", []string{"(*sessionTable).lookup"}},
 		{"hub.go", "Hub.ConsumeBatch", []string{"(*sessionTable).lookup"}},

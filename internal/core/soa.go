@@ -15,22 +15,26 @@ import (
 
 // StateSlab is the struct-of-arrays layout for the million-device scale
 // path: the hot per-device state of the firmware loop — RNG walk, filter
-// window, island hysteresis, seq counter, ARQ window bookkeeping and link
-// accounting — packed into contiguous arrays indexed by fleet slot, so one
-// worker advancing a stripe of devices walks memory linearly instead of
-// chasing a *Device graph per device.
+// window, island hysteresis, ARQ window bookkeeping and link accounting —
+// packed into contiguous arrays indexed by fleet slot, so one worker
+// advancing a stripe of devices walks memory linearly instead of chasing a
+// *Device graph per device.
 //
 // The slab models the same pipeline the full Device runs — minimum-jerk-ish
 // glides over the physical range, GP2D120 sampling with noise, 10-bit ADC
 // quantisation, median3+EMA filtering, island mapping with hysteresis, and
 // frame emission with loss/retransmit accounting — but trades exact model
-// parity for density: a slab device costs ~120 bytes where a full Device
+// parity for density: a slab device costs ~87 bytes where a full Device
 // costs tens of kilobytes. The full path remains the reference for
 // behavioural studies; the slab is the load generator that makes scale
 // claims measurable (see fleet.RunScale and DESIGN.md §11).
 //
+// Only state that carries information is stored: a frame's sequence number
+// is uint16(switches), every frame is sent and delivered once (the ARQ
+// guarantee), so sent = delivered = switches and retransmits = lost.
+//
 // Determinism: every per-device value is derived at construction from
-// (seed, slot) alone, and Tick touches only slot-local state plus shared
+// (seed, slot) alone, and a tick touches only slot-local state plus shared
 // read-only tables, so results are a pure function of the seed and the
 // device count — independent of how devices are striped across workers.
 type StateSlab struct {
@@ -40,17 +44,17 @@ type StateSlab struct {
 	// same generator as sim.Rand so streams have the same quality.
 	rng []uint64
 
-	// Median3 window (3 taps) + fill count, then the EMA value; emaInit
-	// doubles as the filter's warm-up flag.
-	win     []float64
-	winN    []uint8
-	ema     []float64
-	emaInit []uint8
+	// Median3 window of ADC codes (3 taps) + fill count, then the EMA
+	// value in volts; winN == 0 marks the EMA as not yet seeded.
+	win  []uint16
+	winN []uint8
+	ema  []float64
 
 	// Hand-motion state: a glide-dwell-retarget loop over the island
 	// centres, the scripted workload of fleet scripts in array form.
 	dist   []float64 // current physical distance, cm
-	target []float64 // glide target, cm
+	ideal  []float64 // the sensor's noiseless reading at dist, V
+	target []uint16  // glide target: an index into islands
 	step   []float64 // per-tick glide speed, cm (sign-less)
 	dwell  []int16   // ticks left to dwell at the current target
 
@@ -58,27 +62,26 @@ type StateSlab struct {
 	// voltage), -1 when between islands.
 	cur []int16
 
-	// Per-device wire accounting: seq is the next frame sequence number;
-	// outstanding/ackPend are the ARQ window bookkeeping (frames on the
-	// air last tick are acked this tick); the counters mirror LinkStats.
-	seq         []uint16
+	// Per-device wire accounting: outstanding is the ARQ window (the frame
+	// on the air last tick is acked this tick, so it is 0 or 1); lost
+	// counts first copies lost and retransmitted; switches counts island
+	// switches = scroll frames emitted.
 	outstanding []uint16
-	ackPend     []uint16
-	sent        []uint32
-	delivered   []uint32
 	lost        []uint32
-	retransmits []uint32
-	switches    []uint32 // island switches = scroll events emitted
+	switches    []uint32
 
 	// Shared read-only tables: the island map, each island's hysteresis
-	// band, the sensor characteristic and the ADC tables, built once for
-	// the whole slab (the ADC tables once per process).
-	islands  []mapping.Island
-	bands    []band
-	adc      *adcTables
-	sensor   *gp2d120.Sensor
-	noiseSD  float64
-	lossProb float64
+	// band, the voltage bucket index over the islands, the sensor reading
+	// at each island centre and the ADC tables, built once for the whole
+	// slab (the ADC tables once per process).
+	islands     []mapping.Island
+	bands       []band
+	firstIsland islandIndex
+	centreV     []float64
+	adc         *adcTables
+	sensor      *gp2d120.Sensor
+	noiseSD     float64
+	lossProb    float64
 
 	dwellTicks int16
 }
@@ -128,35 +131,37 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 	}
 
 	islands := mapper.Islands()
+	if len(islands) > math.MaxInt16 {
+		return nil, fmt.Errorf("core: slab maps at most %d entries, got %d", math.MaxInt16, len(islands))
+	}
 	hyst := mapper.Config().Hysteresis
 	bands := make([]band, len(islands))
+	centreV := make([]float64, len(islands))
 	for c, is := range islands {
 		h := hyst * (is.Hi - is.Lo) / 2
 		bands[c] = band{lo: is.Lo - h, hi: is.Hi + h}
+		centreV[c] = sensor.Sample(is.DistanceCm)
 	}
 
 	s := &StateSlab{
 		n:           n,
 		rng:         make([]uint64, 4*n),
-		win:         make([]float64, 3*n),
+		win:         make([]uint16, 3*n),
 		winN:        make([]uint8, n),
 		ema:         make([]float64, n),
-		emaInit:     make([]uint8, n),
 		dist:        make([]float64, n),
-		target:      make([]float64, n),
+		ideal:       make([]float64, n),
+		target:      make([]uint16, n),
 		step:        make([]float64, n),
 		dwell:       make([]int16, n),
 		cur:         make([]int16, n),
-		seq:         make([]uint16, n),
 		outstanding: make([]uint16, n),
-		ackPend:     make([]uint16, n),
-		sent:        make([]uint32, n),
-		delivered:   make([]uint32, n),
 		lost:        make([]uint32, n),
-		retransmits: make([]uint32, n),
 		switches:    make([]uint32, n),
 		islands:     islands,
 		bands:       bands,
+		firstIsland: newIslandIndex(islands),
+		centreV:     centreV,
 		adc:         slabADC(),
 		sensor:      sensor,
 		noiseSD:     sensorCfg.NoiseSD,
@@ -180,9 +185,10 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 		var u uint64
 		s.cur[i] = -1
 		r, u = r.next()
-		s.dist[i] = s.islandCenter(u)
+		c := s.randomIsland(u)
+		s.dist[i], s.ideal[i] = s.islands[c].DistanceCm, centreV[c]
 		r, u = r.next()
-		s.target[i] = s.islandCenter(u)
+		s.target[i] = s.randomIsland(u)
 		// Glide speeds span roughly the scripted fleet glides: the full
 		// 26 cm range over 350-700 ms at the 40 ms tick.
 		r, u = r.next()
@@ -227,9 +233,9 @@ func (s *StateSlab) storeRNG(i int, x xoshiro) {
 
 func u64ToFloat(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
-// islandCenter maps a random draw to a random island's physical centre.
-func (s *StateSlab) islandCenter(u uint64) float64 {
-	return s.islands[u%uint64(len(s.islands))].DistanceCm
+// randomIsland maps a random draw to a random island's index.
+func (s *StateSlab) randomIsland(u uint64) uint16 {
+	return uint16(u % uint64(len(s.islands)))
 }
 
 // band is an island's hysteresis band: the island widened by
@@ -239,22 +245,42 @@ type band struct{ lo, hi float64 }
 
 func (b band) holds(v float64) bool { return v >= b.lo && v <= b.hi }
 
-// island returns the index of the island containing v, or -1 when v lies
-// between islands: a binary search over the islands, which are sorted
-// ascending by voltage and disjoint.
-func (s *StateSlab) island(v float64) int {
-	lo, hi := 0, len(s.islands)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		is := &s.islands[mid]
-		switch {
-		case v < is.Lo:
-			hi = mid - 1
-		case v > is.Hi:
-			lo = mid + 1
-		default:
-			return mid
+// islandBuckets and bucketsPerVolt shape the island index: 4,096 buckets
+// over [0, 4 V). bucketsPerVolt is a power of two, so v*bucketsPerVolt is
+// exact and bucket k starts at exactly k/bucketsPerVolt.
+const (
+	islandBuckets  = 4096
+	bucketsPerVolt = 1024
+)
+
+// islandIndex maps each voltage bucket k to the first island with
+// Hi >= k/bucketsPerVolt. The islands are sorted ascending by voltage and
+// disjoint, so no island before it can contain a voltage in the bucket.
+type islandIndex [islandBuckets]uint16
+
+func newIslandIndex(islands []mapping.Island) (x islandIndex) {
+	c := 0
+	for k := range x {
+		for c < len(islands) && islands[c].Hi < float64(k)/bucketsPerVolt {
+			c++
 		}
+		x[k] = uint16(c)
+	}
+	return x
+}
+
+// island returns the index of the island containing v, or -1 when v lies
+// between islands: the first island with Hi >= v, found by a short forward
+// scan from v's bucket, if its Lo <= v. A v below 0 (or past int's range)
+// starts the scan at bucket 0, and one at or above 4 V at the last bucket;
+// both are exact.
+func (s *StateSlab) island(v float64) int {
+	c := int(s.firstIsland[min(max(int(v*bucketsPerVolt), 0), islandBuckets-1)])
+	for c < len(s.islands) && s.islands[c].Hi < v {
+		c++
+	}
+	if c < len(s.islands) && v >= s.islands[c].Lo {
+		return c
 	}
 	return -1
 }
@@ -307,8 +333,9 @@ var slabADC = sync.OnceValue(func() *adcTables {
 	return q
 })
 
-// quantise returns v as the ADC reads it back, volts[code(v)], for v >= 0.
-func (q *adcTables) quantise(v float64) float64 {
+// code returns the ADC code of v, for v >= 0; volts[code(v)] is v as the
+// ADC reads it back.
+func (q *adcTables) code(v float64) uint16 {
 	k := adcEstimate(v)
 	if uint(k) > adc.MaxCode {
 		k = adc.MaxCode
@@ -316,8 +343,13 @@ func (q *adcTables) quantise(v float64) float64 {
 	if v < q.thr[k] {
 		k--
 	}
-	return q.volts[k]
+	return uint16(k)
 }
+
+// median3 returns the median of three ADC codes. volts is strictly
+// increasing in the code, so volts[median3(a, b, c)] is the median of the
+// three readings in volts.
+func median3(a, b, c uint16) uint16 { return max(min(a, b), min(max(a, b), c)) }
 
 // FrameEmitter receives one emitted scale frame: the device slot, the
 // frame's wire sequence number, the island index it reports and the sweep's
@@ -327,89 +359,91 @@ func (q *adcTables) quantise(v float64) float64 {
 // it to marshal real v1 frames onto a TCP connection.
 type FrameEmitter func(slot int, seq uint16, island int16, atMillis uint32)
 
-// Tick advances one device through one firmware cycle: motion, sample,
-// quantise, filter, map, emit. It allocates nothing.
-func (s *StateSlab) Tick(i int) { s.tick(i, nil, nil, 0) }
-
-// tick is Tick with an optional latency accumulator and frame emitter:
-// every emitted frame bins its modelled end-to-end latency and/or is handed
-// to emit. Nil hooks cost one predictable branch per frame, keeping the
-// uninstrumented path identical.
+// tick advances device i through one firmware cycle — motion, sample,
+// quantise, filter, map, emit — with an optional latency accumulator and
+// frame emitter: every emitted frame bins its modelled end-to-end latency
+// and/or is handed to emit. Nil hooks cost one predictable branch per
+// frame, keeping the uninstrumented path identical. It allocates nothing.
 //
 // The kernel is straight-line: the device's RNG words are loaded once and
 // stepped in registers (draw order: retarget, four noise draws, loss), the
-// ADC is a multiply, one threshold compare and a table read, and the
-// hysteresis test is one precomputed band, with the island search only on
-// a miss. It is bit-identical to the stage-by-stage reference in
-// soa_ref_test.go.
+// sensor reading is refreshed only when the hand moves, the ADC is a
+// multiply, one threshold compare and a table read, the median works on
+// codes, and the hysteresis test is one precomputed band, with the bucket
+// index only on a miss. It is bit-identical to the stage-by-stage
+// reference in soa_ref_test.go.
 func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
 	r := s.loadRNG(i)
 	var u uint64
 
-	// Hand motion: dwell at a reached target, then glide to the next.
-	d := s.dist[i]
+	// Hand motion: dwell at a reached target, then glide to the next. The
+	// sensor reading is a pure function of the distance, so it is cached
+	// and only recomputed when the distance changes: at an island centre it
+	// is that centre's precomputed reading.
 	if s.dwell[i] > 0 {
 		s.dwell[i]--
 	} else {
-		target, step := s.target[i], s.step[i]
+		d, tgt, step := s.dist[i], s.target[i], s.step[i]
+		target := s.islands[tgt].DistanceCm
 		delta := target - d
 		if delta <= step && delta >= -step {
 			d = target
+			s.ideal[i] = s.centreV[tgt]
 			s.dwell[i] = s.dwellTicks
 			r, u = r.next()
-			s.target[i] = s.islandCenter(u)
-		} else if delta > 0 {
-			d += step
+			s.target[i] = s.randomIsland(u)
 		} else {
-			d -= step
+			if delta > 0 {
+				d += step
+			} else {
+				d -= step
+			}
+			s.ideal[i] = s.sensor.Sample(d)
 		}
 		s.dist[i] = d
 	}
 
-	// Sample the characteristic with sensor noise (an Irwin-Hall deviate
-	// of four uniforms: unit variance, no transcendental call), then
-	// quantise through the 10-bit ADC exactly like the board does. The
-	// float64 conversion keeps the noise product rounded on its own, never
-	// fused into the add.
+	// Add sensor noise (an Irwin-Hall deviate of four uniforms: unit
+	// variance, no transcendental call), then quantise through the 10-bit
+	// ADC exactly like the board does. The float64 conversion keeps the
+	// noise product rounded on its own, never fused into the add.
 	r, u0 := r.next()
 	r, u1 := r.next()
 	r, u2 := r.next()
 	r, u3 := r.next()
 	sum := u64ToFloat(u0) + u64ToFloat(u1) + u64ToFloat(u2) + u64ToFloat(u3)
 	noise := (sum - 2) * 1.7320508075688772 // sqrt(12/4)
-	v := s.sensor.Sample(d) + float64(s.noiseSD*noise)
+	v := s.ideal[i] + float64(s.noiseSD*noise)
 	if v < 0 {
 		v = 0
 	}
-	v = s.adc.quantise(v)
+	k := s.adc.code(v)
 
-	// Median3 window, then EMA — the firmware's MedianEMA default.
+	// Median3 window over codes, then EMA over volts — the firmware's
+	// MedianEMA default.
 	w := s.win[3*i : 3*i+3 : 3*i+3]
-	if s.winN[i] < 3 {
-		w[s.winN[i]] = v
-		s.winN[i]++
+	n := s.winN[i]
+	if n < 3 {
 		// Warm-up: pass the raw sample through until the window fills.
+		w[n] = k
+		s.winN[i] = n + 1
 	} else {
-		w[0], w[1], w[2] = w[1], w[2], v
-		v = median3(w[0], w[1], w[2])
+		w[0], w[1], w[2] = w[1], w[2], k
+		k = median3(w[0], w[1], w[2])
 	}
-	if s.emaInit[i] == 0 {
+	v = s.adc.volts[k]
+	if n == 0 {
 		s.ema[i] = v
-		s.emaInit[i] = 1
 	} else {
 		s.ema[i] += firmware.DefaultEMAAlpha * (v - s.ema[i])
 	}
 	v = s.ema[i]
 
-	// Acks for last tick's frames arrive before this tick's mapping, so
-	// the window drains one tick behind the sends.
-	s.outstanding[i] -= s.ackPend[i]
-	s.ackPend[i] = 0
-
 	// Island mapping with hysteresis: a device inside its current island's
 	// band stays on it; otherwise search. Unlike mapping.Mapper, a device
 	// between islands (-1) keeps its current island, so coming back to it
-	// emits nothing.
+	// emits nothing. Last tick's frame is acked before this tick's mapping,
+	// so the window holds at most this tick's frame.
 	cur := int(s.cur[i])
 	idx := cur
 	if cur < 0 || !s.bands[cur].holds(v) {
@@ -418,39 +452,36 @@ func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 	if idx >= 0 && idx != cur {
 		s.cur[i] = int16(idx)
 		s.switches[i]++
+		s.outstanding[i] = 1
 		lost := false
 		if s.lossProb > 0 {
 			r, u = r.next()
 			lost = u64ToFloat(u) < s.lossProb
 		}
 		s.emitFrame(i, lost, bins, emit, atMillis)
+	} else {
+		s.outstanding[i] = 0
 	}
 	s.storeRNG(i, r)
 }
 
 // emitFrame accounts one scroll frame through the modelled reliable link:
-// a lost first copy is retransmitted and delivered (the ARQ guarantee),
-// and the window bookkeeping records it on the air until next tick's ack.
+// a lost first copy is retransmitted and delivered (the ARQ guarantee).
 // With a latency accumulator attached it also bins the frame's modelled
 // end-to-end latency.
 func (s *StateSlab) emitFrame(i int, lost bool, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
-	s.seq[i]++
-	s.sent[i]++
-	s.outstanding[i]++
-	s.ackPend[i]++
+	seq := uint16(s.switches[i])
 	if lost {
 		s.lost[i]++
-		s.retransmits[i]++
 	}
-	s.delivered[i]++
 	if bins != nil {
-		bins[s.latencyBin(i, lost)]++
+		bins[latencyBin(i, seq, lost)]++
 	}
 	if emit != nil {
 		// One call per frame regardless of modelled loss: the slab models a
 		// reliable link, so every frame is (eventually) delivered exactly
 		// once — the emitter carries the post-ARQ stream.
-		emit(i, s.seq[i], s.cur[i], atMillis)
+		emit(i, seq, s.cur[i], atMillis)
 	}
 }
 
@@ -480,7 +511,7 @@ func binLatencyMs(k int) float64 {
 	return ms
 }
 
-// latencyBin derives a frame's modelled latency bin from a hash of
+// latencyBin derives a frame's modelled latency bin from a hash of its
 // (slot, seq) rather than from the device RNG stream, so instrumented and
 // plain runs tick through identical random walks. The base (bins 0-7,
 // 8-11.5 ms in 0.5 ms steps) models the firmware path — one 40 ms cycle's
@@ -488,8 +519,8 @@ func binLatencyMs(k int) float64 {
 // adds a 50 ms retransmit round trip. Every value is an exact multiple of
 // 0.5 ms, so float64 partial sums are exact and histogram merges are
 // independent of stripe grouping.
-func (s *StateSlab) latencyBin(i int, lost bool) int {
-	z := (uint64(i)<<16 | uint64(s.seq[i])) * 0x9e3779b97f4a7c15
+func latencyBin(i int, seq uint16, lost bool) int {
+	z := (uint64(i)<<16 | uint64(seq)) * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
@@ -560,16 +591,16 @@ type SlabTotals struct {
 func (s *StateSlab) Totals(lo, hi int) SlabTotals {
 	var t SlabTotals
 	for i := lo; i < hi; i++ {
-		t.Sent += uint64(s.sent[i])
-		t.Delivered += uint64(s.delivered[i])
 		t.Lost += uint64(s.lost[i])
-		t.Retransmits += uint64(s.retransmits[i])
 		t.Switches += uint64(s.switches[i])
 		t.Outstanding += uint64(s.outstanding[i])
 		if s.outstanding[i] > t.MaxWindow {
 			t.MaxWindow = s.outstanding[i]
 		}
 	}
+	// Every frame is sent and delivered once, and every lost first copy is
+	// retransmitted once.
+	t.Sent, t.Delivered, t.Retransmits = t.Switches, t.Switches, t.Lost
 	return t
 }
 
@@ -592,17 +623,4 @@ func (t SlabTotals) Contribute(s *telemetry.Snapshot) {
 	s.AddCounter(telemetry.MetricARQRetransmits, t.Retransmits)
 	s.AddCounter(telemetry.MetricHubDecoded, t.Delivered)
 	s.AddCounter(telemetry.MetricHubEvents, t.Delivered)
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }

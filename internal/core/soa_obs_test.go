@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -113,7 +114,8 @@ func TestSlabTotalsContribute(t *testing.T) {
 }
 
 // TestSlabConfigValidation pins the slab's rejection of configurations the
-// session path rejects too: no devices, or a loss probability outside [0,1].
+// session path rejects too: no devices, or a loss probability outside [0,1];
+// and more entries than its int16 island index can hold.
 func TestSlabConfigValidation(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  SlabConfig
@@ -124,6 +126,8 @@ func TestSlabConfigValidation(t *testing.T) {
 		{SlabConfig{Devices: 8, LossProb: 1.5}, "probabilities must be in [0,1]"},
 		{SlabConfig{Devices: 8, LossProb: 0}, ""},
 		{SlabConfig{Devices: 8, LossProb: 1}, ""},
+		{SlabConfig{Devices: 8, Entries: math.MaxInt16}, ""},
+		{SlabConfig{Devices: 8, Entries: math.MaxInt16 + 1}, "at most 32767 entries"},
 	} {
 		_, err := NewStateSlab(tc.cfg)
 		switch {

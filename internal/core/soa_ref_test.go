@@ -3,32 +3,124 @@ package core
 import (
 	"github.com/hcilab/distscroll/internal/adc"
 	"github.com/hcilab/distscroll/internal/firmware"
+	"github.com/hcilab/distscroll/internal/gp2d120"
 	"github.com/hcilab/distscroll/internal/mapping"
 )
 
 // The reference slab kernel: the firmware cycle as it was first written,
-// one helper call per stage, the RNG stepped through slab memory on every
-// draw, the hysteresis band recomputed per tick and the ADC quantised by
-// float division. It is the oracle the straight-line tick in soa.go is
-// proven bit-identical against (TestSlabKernelMatchesReference).
+// in the slab's original 18-array layout, one helper call per stage, the
+// RNG stepped through slab memory on every draw, the sensor sampled every
+// tick, the median taken over volts, the hysteresis band recomputed per
+// tick, the islands binary-searched and the ADC quantised by float
+// division. It holds its own state and builds it with its own constructor,
+// so it is the oracle the straight-line tick in soa.go is proven
+// bit-identical against (TestSlabKernelMatchesReference).
 
-// refSlab ticks a StateSlab's arrays with the reference kernel; hyst is the
-// mapper's hysteresis the slab was built with.
+// refSlab is the reference kernel's per-device state and shared tables.
 type refSlab struct {
-	*StateSlab
-	hyst float64
+	n int
+
+	rng     []uint64
+	win     []float64
+	winN    []uint8
+	ema     []float64
+	emaInit []uint8
+
+	dist   []float64
+	target []float64
+	step   []float64
+	dwell  []int16
+
+	cur []int16
+
+	seq         []uint16
+	outstanding []uint16
+	ackPend     []uint16
+	sent        []uint32
+	delivered   []uint32
+	lost        []uint32
+	retransmits []uint32
+	switches    []uint32
+
+	islands    []mapping.Island
+	hyst       float64
+	sensor     *gp2d120.Sensor
+	noiseSD    float64
+	lossProb   float64
+	dwellTicks int16
 }
 
-func newRefSlab(cfg SlabConfig) (refSlab, error) {
-	s, err := NewStateSlab(cfg)
-	if err != nil {
-		return refSlab{}, err
+// newRefSlab builds the reference state the way NewStateSlab first did.
+func newRefSlab(cfg SlabConfig) (*refSlab, error) {
+	n := cfg.Devices
+	entries := cfg.Entries
+	if entries <= 0 {
+		entries = 12
 	}
-	return refSlab{s, mapping.DefaultConfig(len(s.islands)).Hysteresis}, nil
+	if cfg.DwellTicks <= 0 {
+		cfg.DwellTicks = 8
+	}
+	sensorCfg := gp2d120.DefaultConfig()
+	sensor, err := gp2d120.New(sensorCfg, gp2d120.DefaultSurface(), nil)
+	if err != nil {
+		return nil, err
+	}
+	mapper, err := mapping.New(mapping.DefaultConfig(entries), sensor.Ideal)
+	if err != nil {
+		return nil, err
+	}
+	s := &refSlab{
+		n:           n,
+		rng:         make([]uint64, 4*n),
+		win:         make([]float64, 3*n),
+		winN:        make([]uint8, n),
+		ema:         make([]float64, n),
+		emaInit:     make([]uint8, n),
+		dist:        make([]float64, n),
+		target:      make([]float64, n),
+		step:        make([]float64, n),
+		dwell:       make([]int16, n),
+		cur:         make([]int16, n),
+		seq:         make([]uint16, n),
+		outstanding: make([]uint16, n),
+		ackPend:     make([]uint16, n),
+		sent:        make([]uint32, n),
+		delivered:   make([]uint32, n),
+		lost:        make([]uint32, n),
+		retransmits: make([]uint32, n),
+		switches:    make([]uint32, n),
+		islands:     mapper.Islands(),
+		hyst:        mapper.Config().Hysteresis,
+		sensor:      sensor,
+		noiseSD:     sensorCfg.NoiseSD,
+		lossProb:    cfg.LossProb,
+		dwellTicks:  int16(cfg.DwellTicks),
+	}
+	for i := 0; i < n; i++ {
+		x := cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15
+		for w := 0; w < 4; w++ {
+			x += 0x9e3779b97f4a7c15
+			z := x
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			s.rng[4*i+w] = z ^ (z >> 31)
+		}
+		s.cur[i] = -1
+		s.dist[i] = s.refIslandCenter(s.refNextU64(i))
+		s.target[i] = s.refIslandCenter(s.refNextU64(i))
+		s.step[i] = 1.5 + 1.5*u64ToFloat(s.refNextU64(i))
+		s.dwell[i] = int16(s.refNextU64(i) % uint64(cfg.DwellTicks))
+	}
+	return s, nil
+}
+
+// refIslandCenter maps a random draw to a random island's physical centre.
+func (s *refSlab) refIslandCenter(u uint64) float64 {
+	return s.islands[u%uint64(len(s.islands))].DistanceCm
 }
 
 // refNextU64 advances device i's packed xoshiro256** state in place.
-func (s refSlab) refNextU64(i int) uint64 {
+func (s *refSlab) refNextU64(i int) uint64 {
 	st := s.rng[4*i : 4*i+4 : 4*i+4]
 	result := ((st[1]*5)<<7 | (st[1]*5)>>57) * 9
 	t := st[1] << 17
@@ -42,7 +134,7 @@ func (s refSlab) refNextU64(i int) uint64 {
 }
 
 // refApproxNorm is the Irwin-Hall deviate of four uniforms.
-func (s refSlab) refApproxNorm(i int) float64 {
+func (s *refSlab) refApproxNorm(i int) float64 {
 	sum := u64ToFloat(s.refNextU64(i)) + u64ToFloat(s.refNextU64(i)) +
 		u64ToFloat(s.refNextU64(i)) + u64ToFloat(s.refNextU64(i))
 	return (sum - 2) * 1.7320508075688772 // sqrt(12/4): unit variance
@@ -57,8 +149,41 @@ func refQuantise(v float64) float64 {
 	return float64(code) * adc.DefaultVref / float64(adc.MaxCode+1)
 }
 
+// refMedian3 is the median of three volts by compare-and-swap.
+func refMedian3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		b = a
+	}
+	return b
+}
+
+// refIsland is the binary search over the islands, sorted ascending by
+// voltage and disjoint: the index of the island containing v, or -1.
+func refIsland(islands []mapping.Island, v float64) int {
+	lo, hi := 0, len(islands)-1
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		is := &islands[mid]
+		switch {
+		case v < is.Lo:
+			hi = mid - 1
+		case v > is.Hi:
+			lo = mid + 1
+		default:
+			return mid
+		}
+	}
+	return -1
+}
+
 // refTick advances device i through one firmware cycle.
-func (s refSlab) refTick(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
+func (s *refSlab) refTick(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
 	d := s.dist[i]
 	switch {
 	case s.dwell[i] > 0:
@@ -69,7 +194,7 @@ func (s refSlab) refTick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 		if delta <= step && delta >= -step {
 			d = s.target[i]
 			s.dwell[i] = s.dwellTicks
-			s.target[i] = s.islandCenter(s.refNextU64(i))
+			s.target[i] = s.refIslandCenter(s.refNextU64(i))
 		} else if delta > 0 {
 			d += step
 		} else {
@@ -90,7 +215,7 @@ func (s refSlab) refTick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 		s.winN[i]++
 	} else {
 		w[0], w[1], w[2] = w[1], w[2], v
-		v = median3(w[0], w[1], w[2])
+		v = refMedian3(w[0], w[1], w[2])
 	}
 	if s.emaInit[i] == 0 {
 		s.ema[i] = v
@@ -117,7 +242,7 @@ func (s refSlab) refTick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 
 // refMapVoltage returns the islands index selected by v, honouring the
 // hysteresis of the device's current island, or -1.
-func (s refSlab) refMapVoltage(i int, v float64) int {
+func (s *refSlab) refMapVoltage(i int, v float64) int {
 	if c := s.cur[i]; c >= 0 {
 		is := &s.islands[c]
 		h := s.hyst * (is.Hi - is.Lo) / 2
@@ -125,25 +250,12 @@ func (s refSlab) refMapVoltage(i int, v float64) int {
 			return int(c)
 		}
 	}
-	lo, hi := 0, len(s.islands)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		is := &s.islands[mid]
-		switch {
-		case v < is.Lo:
-			hi = mid - 1
-		case v > is.Hi:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
+	return refIsland(s.islands, v)
 }
 
 // refEmitFrame accounts one scroll frame, drawing its loss from the slab
 // RNG.
-func (s refSlab) refEmitFrame(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
+func (s *refSlab) refEmitFrame(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
 	s.seq[i]++
 	s.sent[i]++
 	s.outstanding[i]++
@@ -155,7 +267,7 @@ func (s refSlab) refEmitFrame(i int, bins *latencyBins, emit FrameEmitter, atMil
 	}
 	s.delivered[i]++
 	if bins != nil {
-		bins[s.latencyBin(i, lost)]++
+		bins[latencyBin(i, s.seq[i], lost)]++
 	}
 	if emit != nil {
 		emit(i, s.seq[i], s.cur[i], atMillis)

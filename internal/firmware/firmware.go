@@ -435,7 +435,6 @@ func (fw *Firmware) Step(now time.Duration) error {
 }
 
 func (fw *Firmware) handleSelect(now time.Duration, b buttons.ID) error {
-	entry := fw.menu.CurrentEntry()
 	err := fw.menu.Enter()
 	switch {
 	case err == nil:
@@ -455,7 +454,6 @@ func (fw *Firmware) handleSelect(now time.Duration, b buttons.ID) error {
 			Index:  int16(fw.menu.Cursor()),
 			Button: byte(b),
 		}, now)
-		_ = entry
 		return nil
 	default:
 		return fmt.Errorf("firmware: select: %w", err)
