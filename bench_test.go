@@ -636,18 +636,7 @@ func BenchmarkHubnetSaturate(b *testing.B) {
 // replaced a timing wheel) and is kept so the gate compares base and head
 // under one name.
 func BenchmarkSchedulerWheel(b *testing.B) {
-	benchEventScheduler(b, sim.NewScheduler(sim.NewClock(0)))
-}
-
-// BenchmarkSchedulerHeap is the same workload on the container/heap
-// reference scheduler, which allocates one event per schedule, measured
-// live on the same machine (compare ns/op and allocs/op with
-// SchedulerWheel).
-func BenchmarkSchedulerHeap(b *testing.B) {
-	benchEventScheduler(b, sim.NewHeapScheduler(sim.NewClock(0)))
-}
-
-func benchEventScheduler(b *testing.B, s sim.EventScheduler) {
+	s := sim.NewScheduler(sim.NewClock(0))
 	fn := func(time.Duration) {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -675,7 +664,7 @@ func BenchmarkSlabTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at += 40 * time.Millisecond
-		slab.TickStripe(0, slab.Len(), at)
+		slab.TickStripe(0, slab.Len(), at, nil, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slab.Len()), "ns/tick")
 }

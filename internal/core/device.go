@@ -35,14 +35,9 @@ type Config struct {
 	Sink func(payload []byte, at time.Duration)
 	// Transport, when set, builds the device→host channel instead of the
 	// default lossy rf.Link — e.g. an rf.Pipe for an ideal in-process
-	// channel, or a real network backend.
-	Transport func(sched sim.EventScheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (rf.Transport, error)
-	// Scheduler, when set, builds the event scheduler driving this device
-	// instead of the default value-heap sim.Scheduler — e.g.
-	// sim.NewHeapScheduler for the reference implementation. The fleet
-	// differential test uses this hook to prove the two produce
-	// byte-identical results.
-	Scheduler func(clock *sim.Clock) sim.EventScheduler
+	// channel, or a real network backend. It receives the device's own
+	// *sim.Scheduler, the one scheduler every timer of the device runs on.
+	Transport func(sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (rf.Transport, error)
 	// Reliable wraps the device→host channel in the ARQ retransmission
 	// layer and opens the host→device ack back-channel (rf.ReverseLink),
 	// guaranteeing in-order delivery across a lossy link. For the classic
@@ -85,7 +80,7 @@ type Device struct {
 	cfg Config
 
 	Clock     *sim.Clock
-	Scheduler sim.EventScheduler
+	Scheduler *sim.Scheduler
 	Rand      *sim.Rand
 	Board     *smartits.Board
 	Firmware  *firmware.Firmware
@@ -113,12 +108,7 @@ type Device struct {
 func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 	rng := sim.NewRand(cfg.Seed)
 	clock := sim.NewClock(0)
-	var sched sim.EventScheduler
-	if cfg.Scheduler != nil {
-		sched = cfg.Scheduler(clock)
-	} else {
-		sched = sim.NewScheduler(clock)
-	}
+	sched := sim.NewScheduler(clock)
 
 	board, err := smartits.Assemble(cfg.Board, rng.Split())
 	if err != nil {

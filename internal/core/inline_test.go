@@ -14,68 +14,86 @@ import (
 )
 
 // TestHotPathInlines turns the hot paths' inlining claims into a compiler
-// contract: it builds this package with -gcflags=-m and requires each named
-// callee to be inlined into each named caller. A helper that grows past the
-// inliner's budget fails here instead of silently becoming a call per tick
-// or per frame.
+// contract: it builds each named package with -gcflags=-m and requires each
+// named callee to be inlined into each named caller. A helper that grows
+// past the inliner's budget fails here instead of silently becoming a call
+// per tick or per frame. Besides this package it covers internal/rf, whose
+// timers read the device's concrete *sim.Scheduler: its clock reads must
+// stay inlined rather than become calls per frame.
 func TestHotPathInlines(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	out, err := exec.Command(goBin, "build", "-gcflags=-m", ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
-	}
 
+	clock := []string{"sim.(*Scheduler).Clock", "sim.(*Clock).Now"}
 	contract := []struct {
-		file, caller string // caller as "Recv.Method" or "Func"
-		callees      []string
+		dir, file, caller string // caller as "Recv.Method" or "Func"
+		callees           []string
 	}{
-		{"soa.go", "StateSlab.tick", []string{
+		{".", "soa.go", "StateSlab.tick", []string{
 			"xoshiro.next", "band.holds", "(*StateSlab).island", "(*adcTables).code",
 			"median3", "(*StateSlab).randomIsland", "u64ToFloat"}},
-		{"hub.go", "Hub.find", []string{"(*sessionTable).lookup"}},
-		{"hub.go", "Hub.Consume", []string{"(*sessionTable).lookup"}},
-		{"hub.go", "Hub.ConsumeBatch", []string{"(*sessionTable).lookup"}},
+		{".", "hub.go", "Hub.find", []string{"(*sessionTable).lookup"}},
+		{".", "hub.go", "Hub.Consume", []string{"(*sessionTable).lookup"}},
+		{".", "hub.go", "Hub.ConsumeBatch", []string{"(*sessionTable).lookup"}},
+		{"../rf", "link.go", "Link.SendTagged", clock},
+		{"../rf", "arq.go", "ARQ.armTimer", clock},
+		{"../rf", "arq.go", "ARQ.refreshSkip", clock},
+		{"../rf", "arq.go", "ReverseLink.SendAck", clock},
 	}
 
-	// inlined[file][line] lists the callees inlined at that line.
+	// inlined[path][line] lists the callees inlined at that line of the
+	// file at path (dir joined with the file's base name).
 	inlined := map[string]map[int][]string{}
 	re := regexp.MustCompile(`^(\S+\.go):(\d+):\d+: inlining call to (\S+)`)
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		m := re.FindStringSubmatch(sc.Text())
-		if m == nil {
+	built := map[string]bool{}
+	for _, c := range contract {
+		if built[c.dir] {
 			continue
 		}
-		file := filepath.Base(m[1])
-		line, _ := strconv.Atoi(m[2])
-		if inlined[file] == nil {
-			inlined[file] = map[int][]string{}
+		built[c.dir] = true
+		cmd := exec.Command(goBin, "build", "-gcflags=-m", ".")
+		cmd.Dir = c.dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build -gcflags=-m in %s: %v\n%s", c.dir, err, out)
 		}
-		inlined[file][line] = append(inlined[file][line], m[3])
+		sc := bufio.NewScanner(bytes.NewReader(out))
+		for sc.Scan() {
+			m := re.FindStringSubmatch(sc.Text())
+			if m == nil {
+				continue
+			}
+			path := filepath.Join(c.dir, filepath.Base(m[1]))
+			line, _ := strconv.Atoi(m[2])
+			if inlined[path] == nil {
+				inlined[path] = map[int][]string{}
+			}
+			inlined[path][line] = append(inlined[path][line], m[3])
+		}
 	}
 
 	fset := token.NewFileSet()
 	for _, c := range contract {
-		f, err := parser.ParseFile(fset, c.file, nil, 0)
+		path := filepath.Join(c.dir, c.file)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		from, to := funcLines(fset, f, c.caller)
 		if from == 0 {
-			t.Fatalf("%s: no function %s", c.file, c.caller)
+			t.Fatalf("%s: no function %s", path, c.caller)
 		}
 		for _, callee := range c.callees {
 			found := false
 			for line := from; line <= to && !found; line++ {
-				for _, got := range inlined[c.file][line] {
+				for _, got := range inlined[path][line] {
 					found = found || got == callee
 				}
 			}
 			if !found {
-				t.Errorf("%s is not inlined into %s (%s:%d-%d)", callee, c.caller, c.file, from, to)
+				t.Errorf("%s is not inlined into %s (%s:%d-%d)", callee, c.caller, path, from, to)
 			}
 		}
 	}

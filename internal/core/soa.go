@@ -488,8 +488,8 @@ func (s *StateSlab) emitFrame(i int, lost bool, bins *latencyBins, emit FrameEmi
 // latencyBins accumulates a sweep's modelled latency observations. The
 // model produces only 16 distinct values (8 hash bins × delivered-first-
 // try / retransmitted), so the per-frame instrumentation cost is a single
-// array increment; TickStripeObserved flushes the bins into the real
-// histogram once per stripe sweep.
+// array increment; TickStripe flushes the bins into the real histogram
+// once per stripe sweep.
 type latencyBins [16]uint64
 
 // flush drains the bins into lat and zeroes them.
@@ -532,47 +532,29 @@ func latencyBin(i int, seq uint16, lost bool) int {
 }
 
 // TickStripe advances the contiguous device range [lo, hi) through one
-// firmware cycle. It is the batched per-event unit of work: one
-// scheduler event per stripe, not one per device.
-func (s *StateSlab) TickStripe(lo, hi int, _ time.Duration) {
-	for i := lo; i < hi; i++ {
-		s.tick(i, nil, nil, 0)
-	}
-}
-
-// TickStripeEmit is TickStripe with a frame emitter: every frame the stripe
-// emits is handed to emit stamped with the sweep's virtual time. The caller
-// (one RunScale worker per stripe) owns emit exclusively during the tick.
-func (s *StateSlab) TickStripeEmit(lo, hi int, at time.Duration, emit FrameEmitter) {
+// firmware cycle. It is the batched per-event unit of work: one scheduler
+// event per stripe, not one per device. The caller (one RunScale worker per
+// stripe) owns lat and emit exclusively during the tick; a nil lat or emit
+// turns that feature off.
+//
+// With lat, each emitted frame bins its modelled end-to-end latency into a
+// stack accumulator, flushed into lat once per sweep, so no synchronisation
+// happens on this path and it still allocates nothing. With emit, every
+// frame the stripe emits is handed to emit stamped with the sweep's virtual
+// time at.
+func (s *StateSlab) TickStripe(lo, hi int, at time.Duration, lat *telemetry.LocalHistogram, emit FrameEmitter) {
 	atMillis := uint32(at / time.Millisecond)
-	for i := lo; i < hi; i++ {
-		s.tick(i, nil, emit, atMillis)
+	var acc latencyBins
+	var bins *latencyBins
+	if lat != nil {
+		bins = &acc
 	}
-}
-
-// TickStripeObserved is TickStripe with a caller-synchronised latency
-// histogram: each emitted frame in the stripe bins its modelled end-to-end
-// latency into a stack accumulator, flushed into lat once per sweep. The
-// caller (one RunScale worker per stripe) owns lat exclusively during the
-// tick, so no synchronisation happens on this path and it still allocates
-// nothing.
-func (s *StateSlab) TickStripeObserved(lo, hi int, _ time.Duration, lat *telemetry.LocalHistogram) {
-	var bins latencyBins
 	for i := lo; i < hi; i++ {
-		s.tick(i, &bins, nil, 0)
+		s.tick(i, bins, emit, atMillis)
 	}
-	bins.flush(lat)
-}
-
-// TickStripeObservedEmit combines TickStripeObserved and TickStripeEmit:
-// latency binning and frame emission in one sweep.
-func (s *StateSlab) TickStripeObservedEmit(lo, hi int, at time.Duration, lat *telemetry.LocalHistogram, emit FrameEmitter) {
-	atMillis := uint32(at / time.Millisecond)
-	var bins latencyBins
-	for i := lo; i < hi; i++ {
-		s.tick(i, &bins, emit, atMillis)
+	if lat != nil {
+		acc.flush(lat)
 	}
-	bins.flush(lat)
 }
 
 // SlabTotals aggregates slab counters (see fleet.RunScale).

@@ -27,8 +27,8 @@ func TestSlabObservedStreamsUnperturbed(t *testing.T) {
 	at := time.Duration(0)
 	for i := 0; i < 100; i++ {
 		at += 40 * time.Millisecond
-		plain.TickStripe(0, plain.Len(), at)
-		observed.TickStripeObserved(0, observed.Len(), at, lat)
+		plain.TickStripe(0, plain.Len(), at, nil, nil)
+		observed.TickStripe(0, observed.Len(), at, lat, nil)
 	}
 	pt, ot := plain.Totals(0, plain.Len()), observed.Totals(0, observed.Len())
 	if pt != ot {
@@ -64,7 +64,7 @@ func TestSlabLatencyMergeGroupingIndependent(t *testing.T) {
 			at += 40 * time.Millisecond
 			lo := 0
 			for i, hi := range stripes {
-				slab.TickStripeObserved(lo, hi, at, hists[i])
+				slab.TickStripe(lo, hi, at, hists[i], nil)
 				lo = hi
 			}
 		}

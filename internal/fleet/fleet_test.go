@@ -141,7 +141,7 @@ func TestFleetAttributesLossPerDevice(t *testing.T) {
 
 func TestFleetWithPipeTransport(t *testing.T) {
 	cfg := Config{Devices: 5, Seed: 9, Core: core.DefaultConfig()}
-	cfg.Core.Transport = func(sched sim.EventScheduler, _ *sim.Rand, sink func([]byte, time.Duration)) (rf.Transport, error) {
+	cfg.Core.Transport = func(sched *sim.Scheduler, _ *sim.Rand, sink func([]byte, time.Duration)) (rf.Transport, error) {
 		return rf.NewPipe(sched, 2*time.Millisecond, sink)
 	}
 	r, results := runFleet(t, cfg)
@@ -155,41 +155,6 @@ func TestFleetWithPipeTransport(t *testing.T) {
 	}
 	if agg := r.Hub().Stats(); agg.MissedSeq != 0 || agg.Devices != 5 {
 		t.Fatalf("hub aggregate: %+v", agg)
-	}
-}
-
-// TestFleetWheelHeapIdentical is the fleet-level differential test: the same
-// seeded fleet run on the default value-heap scheduler and on the heap
-// reference must produce byte-identical results — event streams, stats,
-// cursors and elapsed times. Together with the scheduler-level differential
-// fuzz in internal/sim this proves the default scheduler preserves per-seed
-// determinism end to end. The name predates the value heap (it replaced a
-// timing wheel) and is kept so CI's -run filter still matches.
-func TestFleetWheelHeapIdentical(t *testing.T) {
-	run := func(mk func(*sim.Clock) sim.EventScheduler) ([]string, string) {
-		cfg := Config{Devices: 6, Seed: 23, Workers: 2, Reliable: true, Core: core.DefaultConfig()}
-		cfg.Core.Link.LossProb = 0.1 // lossy + ARQ: the full timer surface
-		cfg.Core.Scheduler = mk
-		r, results := runFleet(t, cfg)
-		keys := make([]string, r.Len())
-		for i := range keys {
-			keys[i] = streamKey(r.Session(i).Events())
-		}
-		return keys, fmt.Sprintf("%+v", results)
-	}
-	valueKeys, valueRes := run(nil) // nil = default sim.Scheduler
-	heapKeys, heapRes := run(func(c *sim.Clock) sim.EventScheduler { return sim.NewHeapScheduler(c) })
-	for i := range valueKeys {
-		if valueKeys[i] != heapKeys[i] {
-			t.Fatalf("device %d event stream differs between value heap and reference:\n%s\nvs\n%s",
-				i+1, valueKeys[i], heapKeys[i])
-		}
-		if valueKeys[i] == "" {
-			t.Fatalf("device %d produced no events", i+1)
-		}
-	}
-	if valueRes != heapRes {
-		t.Fatalf("fleet results differ between value heap and reference:\n%s\nvs\n%s", valueRes, heapRes)
 	}
 }
 

@@ -310,38 +310,36 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 					}
 				}
 			}
+			var sh *scaleShard
+			var lat *telemetry.LocalHistogram
 			if observed {
-				sh := shards[w]
-				sched.Every(cfg.SamplePeriod, func(at time.Duration) {
-					if sink != nil {
-						slab.TickStripeObservedEmit(lo, hi, at, sh.lat, sink.Emit)
-						flush()
-					} else {
-						slab.TickStripeObserved(lo, hi, at, sh.lat)
-					}
-					sh.ticks += uint64(hi - lo)
-					sh.sweeps++
-					if sh.sweeps%publishSweeps == 0 {
-						// The running tick was popped before this callback
-						// and Every re-queues it after: count it, so the
-						// gauge reads the same mid-run as after the run.
-						sh.publish(slab, sched.Pending()+1, at, start)
-					}
-				})
-				errs[w] = sched.Run(cfg.Duration)
+				sh = shards[w]
+				lat = sh.lat
+			}
+			var emit core.FrameEmitter
+			if sink != nil {
+				emit = sink.Emit
+			}
+			sched.Every(cfg.SamplePeriod, func(at time.Duration) {
+				slab.TickStripe(lo, hi, at, lat, emit)
+				flush()
+				if sh == nil {
+					return
+				}
+				sh.ticks += uint64(hi - lo)
+				sh.sweeps++
+				if sh.sweeps%publishSweeps == 0 {
+					// The running tick was popped before this callback and
+					// Every re-queues it after: count it, so the gauge
+					// reads the same mid-run as after the run.
+					sh.publish(slab, sched.Pending()+1, at, start)
+				}
+			})
+			errs[w] = sched.Run(cfg.Duration)
+			if sh != nil {
 				// Final publish so post-run scrapes read the complete
 				// stripe, whatever the cadence remainder was.
 				sh.publish(slab, sched.Pending(), cfg.Duration, start)
-			} else {
-				sched.Every(cfg.SamplePeriod, func(at time.Duration) {
-					if sink != nil {
-						slab.TickStripeEmit(lo, hi, at, sink.Emit)
-						flush()
-					} else {
-						slab.TickStripe(lo, hi, at)
-					}
-				})
-				errs[w] = sched.Run(cfg.Duration)
 			}
 			if sink != nil && sink.Close != nil {
 				if err := sink.Close(); err != nil && sinkErr == nil {

@@ -205,7 +205,7 @@ func TestSlabTickObservedZeroAlloc(t *testing.T) {
 	at := time.Duration(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		at += 40 * time.Millisecond
-		slab.TickStripeObserved(0, slab.Len(), at, lat)
+		slab.TickStripe(0, slab.Len(), at, lat, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("observed slab tick allocates %.1f allocs/op, want 0", allocs)

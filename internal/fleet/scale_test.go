@@ -131,7 +131,7 @@ func TestSlabTickZeroAlloc(t *testing.T) {
 	at := time.Duration(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		at += 40 * time.Millisecond
-		slab.TickStripe(0, slab.Len(), at)
+		slab.TickStripe(0, slab.Len(), at, nil, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("slab tick allocates %.1f allocs/op, want 0", allocs)

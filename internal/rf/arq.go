@@ -159,7 +159,7 @@ type arqFrame struct {
 // callbacks all run on the device's scheduler.
 type ARQ struct {
 	cfg   ARQConfig
-	sched sim.EventScheduler
+	sched *sim.Scheduler
 	rng   *sim.Rand
 	tx    Transport
 	cnt   arqCounters
@@ -184,7 +184,7 @@ type ARQ struct {
 
 // NewARQ wraps an inner transport in a reliable sender. rng may be nil, in
 // which case timeouts are not jittered.
-func NewARQ(cfg ARQConfig, sched sim.EventScheduler, rng *sim.Rand, tx Transport) (*ARQ, error) {
+func NewARQ(cfg ARQConfig, sched *sim.Scheduler, rng *sim.Rand, tx Transport) (*ARQ, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("rf: arq: scheduler is required")
 	}
@@ -571,7 +571,7 @@ type reverseCounters struct {
 // round trip stays on one virtual clock.
 type ReverseLink struct {
 	cfg   LinkConfig
-	sched sim.EventScheduler
+	sched *sim.Scheduler
 	rng   *sim.Rand
 	dec   *Decoder
 	sink  func(payload []byte, at time.Duration)
@@ -592,7 +592,7 @@ type ReverseLink struct {
 // payloads to sink (usually ARQ.HandleAck). Loss uses cfg.AckLossProb;
 // latency and jitter are shared with the forward configuration. rng may be
 // nil for an ideal reverse channel.
-func NewReverseLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*ReverseLink, error) {
+func NewReverseLink(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*ReverseLink, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("rf: reverse link: scheduler is required")
 	}

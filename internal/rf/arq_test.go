@@ -11,7 +11,7 @@ import (
 // i-th Send (0-based, counting every transmission including retransmits) is
 // dropped when drop[i] is set. Delivery is FIFO with a fixed latency.
 type scriptTx struct {
-	sched   sim.EventScheduler
+	sched   *sim.Scheduler
 	sink    func(payload []byte, at time.Duration)
 	latency time.Duration
 	drop    map[int]bool
@@ -35,7 +35,7 @@ func (s *scriptTx) Send(payload []byte) (time.Duration, error) {
 // drops the i-th ack before it reaches the reverse link.
 type reliableLoop struct {
 	t     *testing.T
-	sched sim.EventScheduler
+	sched *sim.Scheduler
 	arq   *ARQ
 	tx    *scriptTx
 	rev   *ReverseLink

@@ -90,7 +90,7 @@ func (c *linkCounters) stats() LinkStats {
 // Delivery is driven by the shared scheduler so time is virtual.
 type Link struct {
 	cfg   LinkConfig
-	sched sim.EventScheduler
+	sched *sim.Scheduler
 	rng   *sim.Rand
 	dec   *Decoder
 	sink  func(payload []byte, at time.Duration)
@@ -124,7 +124,7 @@ type Link struct {
 // valid for the duration of the sink call: a sink that retains payload
 // bytes must copy them. Every in-tree sink (Hub.Handle, Session.Handle,
 // ARQ.HandleAck) decodes synchronously and retains nothing.
-func NewLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*Link, error) {
+func NewLink(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*Link, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("rf: scheduler is required")
 	}

@@ -154,7 +154,7 @@ func TestMsgKindString(t *testing.T) {
 	}
 }
 
-func newTestLink(t *testing.T, cfg LinkConfig, rng *sim.Rand) (*Link, sim.EventScheduler, *[][]byte) {
+func newTestLink(t *testing.T, cfg LinkConfig, rng *sim.Rand) (*Link, *sim.Scheduler, *[][]byte) {
 	t.Helper()
 	sched := sim.NewScheduler(sim.NewClock(0))
 	var rx [][]byte

@@ -44,7 +44,7 @@ var (
 // stays virtual. It isolates host-side behaviour from channel effects in
 // fleet scenarios and serves as the template for non-RF backends.
 type Pipe struct {
-	sched   sim.EventScheduler
+	sched   *sim.Scheduler
 	latency time.Duration
 	sink    func(payload []byte, at time.Duration)
 	stats   LinkStats
@@ -52,7 +52,7 @@ type Pipe struct {
 
 // NewPipe returns an ideal transport delivering payloads to sink after the
 // given latency.
-func NewPipe(sched sim.EventScheduler, latency time.Duration, sink func(payload []byte, at time.Duration)) (*Pipe, error) {
+func NewPipe(sched *sim.Scheduler, latency time.Duration, sink func(payload []byte, at time.Duration)) (*Pipe, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("rf: scheduler is required")
 	}

@@ -105,7 +105,7 @@ func TestEncodeAppendEncodeEquivalent(t *testing.T) {
 }
 
 // drain runs every queued event.
-func drain(s sim.EventScheduler) {
+func drain(s *sim.Scheduler) {
 	for s.Step() {
 	}
 }

@@ -6,6 +6,25 @@ import (
 	"time"
 )
 
+// eventScheduler is the surface the semantic and differential tests drive:
+// the production Scheduler and the reference HeapScheduler both satisfy it,
+// so every schedule runs against both and must produce the same events.
+type eventScheduler interface {
+	Clock() *Clock
+	At(t time.Duration, fn func(at time.Duration))
+	After(d time.Duration, fn func(at time.Duration))
+	Every(period time.Duration, fn func(at time.Duration)) (cancel func())
+	Step() bool
+	Run(horizon time.Duration) error
+	Pending() int
+	Stop()
+}
+
+var (
+	_ eventScheduler = (*Scheduler)(nil)
+	_ eventScheduler = (*HeapScheduler)(nil)
+)
+
 // Event is a scheduled callback. The callback receives the time at which it
 // fires.
 type Event struct {
@@ -47,9 +66,9 @@ func (q *eventQueue) Pop() any {
 
 // HeapScheduler executes events in virtual-time order on a shared Clock
 // using a comparison heap of individually allocated events. It is the
-// original scheduler implementation, kept as the executable reference
-// semantics for the value-heap Scheduler: the differential tests drive
-// both with identical schedules and require identical event order.
+// original scheduler implementation, kept in the tests as the executable
+// reference semantics for the value-heap Scheduler: the differential tests
+// drive both with identical schedules and require identical event order.
 //
 // It is single-threaded by design: callbacks run on the caller's goroutine.
 type HeapScheduler struct {
@@ -87,7 +106,7 @@ func (s *HeapScheduler) After(d time.Duration, fn func(at time.Duration)) {
 // period from now, until the returned cancel function is called. A
 // non-positive period schedules nothing and returns a no-op cancel: at fleet
 // horizons a silently clamped period would be an event storm, so the
-// degenerate case is an explicit no-op instead (see EventScheduler).
+// degenerate case is an explicit no-op instead (see Scheduler).
 func (s *HeapScheduler) Every(period time.Duration, fn func(at time.Duration)) (cancel func()) {
 	if period <= 0 {
 		return func() {}

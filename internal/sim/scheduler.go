@@ -23,10 +23,20 @@ func (e *event) before(o *event) bool {
 // structure per device; the slice grows to the device's working set and is
 // then reused, so steady-state scheduling and dispatch allocate nothing.
 //
-// The order is the one HeapScheduler defines, the executable reference
-// semantics; the differential tests in this package require identical event
-// sequences from both. It is single-threaded by design: callbacks run on the
-// caller's goroutine.
+// Semantics, checked against the container/heap reference kept in this
+// package's tests, which must produce identical event sequences:
+//
+//   - Events run in (time, schedule order): equal-time events fire FIFO.
+//   - Events scheduled in the past clamp to the current time and still run.
+//   - Events scheduled from inside a callback at the current time run within
+//     the same Run, after the already-queued equal-time events.
+//   - Every with a non-positive period schedules nothing and returns a
+//     callable no-op cancel.
+//   - Run leaves the clock exactly at the horizon when it returns nil —
+//     whether the queue drained early or the next event lies beyond it — and
+//     at the stopping event's time when it returns ErrStopped.
+//
+// It is single-threaded by design: callbacks run on the caller's goroutine.
 type Scheduler struct {
 	clock   *Clock
 	queue   []event
@@ -75,7 +85,7 @@ func (s *Scheduler) After(d time.Duration, fn func(at time.Duration)) {
 // period from now, until the returned cancel function is called. A
 // non-positive period schedules nothing and returns a no-op cancel: at fleet
 // horizons a silently clamped period would be an event storm, so the
-// degenerate case is an explicit no-op instead (see EventScheduler).
+// degenerate case is an explicit no-op instead.
 func (s *Scheduler) Every(period time.Duration, fn func(at time.Duration)) (cancel func()) {
 	if period <= 0 {
 		return func() {}

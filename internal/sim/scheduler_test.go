@@ -49,7 +49,7 @@ type traceEntry struct {
 // ordered (id, time) trace of every event execution. The schedule depends
 // only on the seed, never on the scheduler, so both implementations see the
 // same program.
-func differentialTrace(s EventScheduler, seed uint64) []traceEntry {
+func differentialTrace(s eventScheduler, seed uint64) []traceEntry {
 	rng := NewRand(seed)
 	var trace []traceEntry
 	note := func(id int) func(time.Duration) {
@@ -215,7 +215,7 @@ func TestSchedulerFootprint(t *testing.T) {
 	}
 }
 
-func benchScheduler(b *testing.B, s EventScheduler) {
+func benchScheduler(b *testing.B, s eventScheduler) {
 	fn := func(time.Duration) {}
 	b.ReportAllocs()
 	b.ResetTimer()
