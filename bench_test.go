@@ -149,8 +149,8 @@ func BenchmarkA4FirmwareLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fw, err := firmware.New(firmware.DefaultConfig(), board, m, nil)
-	if err != nil {
+	var fw firmware.Firmware
+	if err := fw.Init(firmware.DefaultConfig(), board, m, nil); err != nil {
 		b.Fatal(err)
 	}
 	board.SetDistance(15)

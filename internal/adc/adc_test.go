@@ -124,6 +124,12 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := New(5, 0, nil); err == nil {
 		t.Fatal("want channels error")
 	}
+	if _, err := New(5, MaxChannels+1, nil); err == nil {
+		t.Fatal("want channels error above the PIC's analog inputs")
+	}
+	if c, err := New(5, MaxChannels, nil); err != nil || c.Channels() != MaxChannels {
+		t.Fatalf("all %d inputs: %v", MaxChannels, err)
+	}
 }
 
 func TestSampleCounter(t *testing.T) {

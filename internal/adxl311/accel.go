@@ -43,10 +43,11 @@ type Accel struct {
 	rng         *sim.Rand
 }
 
-// New returns an accelerometer with the given random source; rng may be nil
-// for a noiseless instance.
-func New(rng *sim.Rand) *Accel {
-	return &Accel{rng: rng}
+// Init resets a in place to a level, motionless accelerometer drawing
+// noise from rng; rng may be nil for a noiseless instance. A board holds
+// its Accel by value and builds it with Init.
+func (a *Accel) Init(rng *sim.Rand) {
+	*a = Accel{rng: rng}
 }
 
 // SetOrientation updates the device attitude.

@@ -105,27 +105,39 @@ type Event struct {
 // DefaultDebounce is the firmware debounce interval.
 const DefaultDebounce = 20 * time.Millisecond
 
-// Pad is a set of debounced buttons scanned by the firmware.
+// numIDs sizes the pad's per-button state, which is indexed by ID: every
+// known position 1..LeftLower has a slot, and slot 0 stays unused.
+const numIDs = int(LeftLower) + 1
+
+// known reports whether id names a button position of the case.
+func known(id ID) bool { return id >= TopRight && id <= LeftLower }
+
+// Pad is a set of debounced buttons scanned by the firmware. Its state is
+// held in arrays indexed by ID, so a pad is one flat value: building one,
+// setting a level and scanning allocate nothing.
 type Pad struct {
 	layout   Layout
 	debounce time.Duration
 
-	raw      map[ID]bool          // electrical level set by the environment
-	stable   map[ID]bool          // debounced level
-	lastEdge map[ID]time.Duration // time of last raw edge
-	events   []Event              // Scan's result, reused by the next Scan
+	raw      [numIDs]bool          // electrical level set by the environment
+	stable   [numIDs]bool          // debounced level
+	lastEdge [numIDs]time.Duration // time of last raw edge
+	// events backs Scan's result: a scan reports at most one edge per
+	// known button.
+	events [numIDs - 1]Event
 }
 
 // NewPad returns a pad for the given layout with the default debounce.
 func NewPad(layout Layout) *Pad {
-	p := &Pad{
-		layout:   layout,
-		debounce: DefaultDebounce,
-		raw:      make(map[ID]bool, len(layout.Buttons)),
-		stable:   make(map[ID]bool, len(layout.Buttons)),
-		lastEdge: make(map[ID]time.Duration, len(layout.Buttons)),
-	}
+	p := new(Pad)
+	p.Init(layout)
 	return p
+}
+
+// Init resets p in place to a released pad for the given layout with the
+// default debounce, so an owner can hold its Pad by value.
+func (p *Pad) Init(layout Layout) {
+	*p = Pad{layout: layout, debounce: DefaultDebounce}
 }
 
 // SetDebounce overrides the debounce interval.
@@ -138,8 +150,13 @@ func (p *Pad) SetDebounce(d time.Duration) {
 // Layout returns the pad layout.
 func (p *Pad) Layout() Layout { return p.layout }
 
-// Has reports whether the layout contains the button.
+// Has reports whether the layout contains the button. An ID that names no
+// position of the case (outside TopRight..LeftLower) is never on the pad,
+// even if a layout lists it.
 func (p *Pad) Has(id ID) bool {
+	if !known(id) {
+		return false
+	}
 	for _, b := range p.layout.Buttons {
 		if b == id {
 			return true
@@ -165,8 +182,11 @@ func (p *Pad) Set(id ID, pressed bool, at time.Duration) {
 // state produces an event. The returned slice is the pad's scratch: it is
 // valid until the next Scan, and a caller that keeps events must copy them.
 func (p *Pad) Scan(at time.Duration) []Event {
-	events := p.events[:0]
+	n := 0
 	for _, id := range p.layout.Buttons {
+		if !known(id) {
+			continue
+		}
 		raw := p.raw[id]
 		if raw == p.stable[id] {
 			continue
@@ -179,11 +199,12 @@ func (p *Pad) Scan(at time.Duration) []Event {
 		if raw {
 			kind = Press
 		}
-		events = append(events, Event{Button: id, Kind: kind, At: at})
+		p.events[n] = Event{Button: id, Kind: kind, At: at}
+		n++
 	}
-	p.events = events
-	return events
+	return p.events[:n]
 }
 
-// Pressed reports the debounced state of a button.
-func (p *Pad) Pressed(id ID) bool { return p.stable[id] }
+// Pressed reports the debounced state of a button; false for an ID that
+// names no position of the case.
+func (p *Pad) Pressed(id ID) bool { return known(id) && p.stable[id] }

@@ -59,6 +59,34 @@ func TestUnknownButtonIgnored(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeIDsIgnored pins "unknown buttons are ignored" for IDs that
+// name no position of the case: 0, -1 and one past LeftLower are never on
+// the pad, even when the layout lists them, so Set drives nothing, Pressed
+// reads false and Scan reports only the known buttons.
+func TestOutOfRangeIDsIgnored(t *testing.T) {
+	for _, id := range []ID{0, -1, LeftLower + 1} {
+		lay := PrototypeLayout()
+		lay.Buttons = append(lay.Buttons, id)
+		p := NewPad(lay)
+		p.Set(id, true, 0)
+		if p.Has(id) || p.Pressed(id) {
+			t.Fatalf("id %d: Has %v Pressed %v, want both false", id, p.Has(id), p.Pressed(id))
+		}
+		if evs := p.Scan(time.Second); len(evs) != 0 {
+			t.Fatalf("id %d produced events: %v", id, evs)
+		}
+		p.Set(TopRight, true, time.Second)
+		p.Set(id, true, time.Second)
+		evs := p.Scan(2 * time.Second)
+		if len(evs) != 1 || evs[0].Button != TopRight || evs[0].Kind != Press {
+			t.Fatalf("id %d: scan beside a known press: %v", id, evs)
+		}
+		if p.Pressed(id) || !p.Pressed(TopRight) {
+			t.Fatalf("id %d: Pressed %v, TopRight pressed %v", id, p.Pressed(id), p.Pressed(TopRight))
+		}
+	}
+}
+
 // TestScanReportsEachEdgeOnce pins that a debounced edge is returned by
 // exactly one Scan and that the pad keeps no event history: a press and a
 // release come back one per scan, later scans return nothing, and the
@@ -90,14 +118,12 @@ func TestScanReportsEachEdgeOnce(t *testing.T) {
 	}
 }
 
-// TestScanZeroAlloc pins the firmware's per-cycle button scan: after the
-// first edge has sized the scratch, scanning allocates nothing, with or
+// TestScanZeroAlloc pins the firmware's per-cycle button scan: from the
+// first edge on, setting levels and scanning allocate nothing, with or
 // without an edge to report.
 func TestScanZeroAlloc(t *testing.T) {
 	p := NewPad(PrototypeLayout())
-	p.Set(TopRight, true, 0)
-	p.Scan(p.debounce)
-	at, pressed := time.Second, false
+	at, pressed := time.Second, true
 	allocs := testing.AllocsPerRun(100, func() {
 		p.Set(TopRight, pressed, at)
 		if evs := p.Scan(at + p.debounce); len(evs) != 1 {

@@ -117,7 +117,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestFeedVoltagesPath(t *testing.T) {
-	a := adxl311.New(nil)
+	var a adxl311.Accel
+	a.Init(nil)
 	a.SetOrientation(adxl311.Orientation{Pitch: 0.6, Roll: -0.25})
 	d := NewDetector(DefaultConfig())
 	var c Context

@@ -27,11 +27,12 @@ type Config struct {
 	Link     rf.LinkConfig
 	// Radio disables the RF link when false (bench-only devices).
 	Radio bool
-	// KeepEventLog retains every host event for inspection.
+	// KeepEventLog retains every event the device's own Host receives for
+	// inspection; it has no effect with Sink set.
 	KeepEventLog bool
 	// Sink overrides where the link delivers decoded payloads. Nil keeps
 	// the classic single-device wiring (the device's own Host); a fleet
-	// passes the shared Hub's Handle.
+	// passes the shared Hub's Handle, and the device then builds no Host.
 	Sink func(payload []byte, at time.Duration)
 	// Transport, when set, builds the device→host channel instead of the
 	// default lossy rf.Link — e.g. an rf.Pipe for an ideal in-process
@@ -93,65 +94,89 @@ type Device struct {
 	// Config.Reliable.
 	ARQ     *rf.ARQ
 	Reverse *rf.ReverseLink
-	Host    *Host
-	Menu    *menu.Menu
+	// Host is the device's own host driver, which its link delivers to in
+	// the classic single-device wiring. It is nil when Config.Sink routes
+	// the frames elsewhere (a fleet's shared hub): nothing would feed it.
+	Host *Host
+	Menu *menu.Menu
 	// Trace is the device's flight recorder (nil unless Config.Tracing):
 	// every pipeline stage of this device records onto it, and a fleet
 	// attaches the hub session for this device to it too.
 	Trace *tracing.Recorder
 
-	tickCancel func()
-	stepErr    error
+	// tick is the firmware-loop callback, built once; stopped cancels it.
+	tick    func(at time.Duration)
+	stopped bool
+	stepErr error
+
+	// parts holds what the device owns by value: the exported pointers
+	// above point into it, so assembling a device is one allocation (two
+	// with Config.Reliable, see reliableParts). Each part is built in
+	// place by its package's Init, and parts keep pointers to each other
+	// and to themselves (the scheduler's clock, the board's ADC wiring,
+	// the link's callbacks), so a Device must not be copied.
+	parts struct {
+		clock    sim.Clock
+		sched    sim.Scheduler
+		board    smartits.Board
+		menu     menu.Menu
+		firmware firmware.Firmware
+		link     rf.Link
+		// rand is the device's stream; boardRand and linkRand are split
+		// from it in that order. The board holds its components' streams
+		// itself, reliableParts the ARQ's and the reverse link's, which
+		// are split next.
+		rand, boardRand, linkRand sim.Rand
+	}
+}
+
+// reliableParts is a reliable device's second allocation: the ARQ sender,
+// the ack back-channel and their streams. Keeping it out of Device.parts
+// spares a device without ARQ its ~600 B.
+type reliableParts struct {
+	arq                  rf.ARQ
+	reverse              rf.ReverseLink
+	arqRand, reverseRand sim.Rand
 }
 
 // NewDevice assembles a device navigating the given menu tree root.
 func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
-	rng := sim.NewRand(cfg.Seed)
-	clock := sim.NewClock(0)
-	sched := sim.NewScheduler(clock)
+	d := &Device{cfg: cfg}
+	p := &d.parts
+	rng := &p.rand
+	rng.Seed(cfg.Seed)
+	sched := &p.sched
+	sched.Init(&p.clock)
+	d.Rand, d.Clock, d.Scheduler = rng, &p.clock, sched
 
-	board, err := smartits.Assemble(cfg.Board, rng.Split())
-	if err != nil {
+	rng.SplitInto(&p.boardRand)
+	if err := p.board.Init(cfg.Board, &p.boardRand); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	m, err := menu.New(root)
-	if err != nil {
+	d.Board = &p.board
+	if err := p.menu.Init(root); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-
-	d := &Device{
-		cfg:       cfg,
-		Clock:     clock,
-		Scheduler: sched,
-		Rand:      rng,
-		Board:     board,
-		Menu:      m,
-	}
+	d.Menu = &p.menu
 	if cfg.Tracing != nil {
 		d.Trace = cfg.Tracing.NewRecorder(fmt.Sprintf("device-%d", cfg.DeviceID), cfg.DeviceID)
-	}
-	if cfg.Metrics != nil && cfg.Sink == nil {
-		// Classic wiring: this device's own Host consumes the frames, so
-		// it owns the receive-side instrumentation. In a fleet the shared
-		// Hub does, and the per-device Host stays plain.
-		d.Host = NewHostWithMetrics(cfg.KeepEventLog, cfg.Metrics)
-	} else {
-		d.Host = NewHost(cfg.KeepEventLog)
-	}
-	if d.Trace != nil && cfg.Sink == nil {
-		// Classic wiring: this device's own Host session demuxes the
-		// frames, so it records the hub.demux leg of the trace. A fleet's
-		// shared hub sessions are attached by fleet.New instead.
-		d.Host.AttachTracer(d.Trace)
 	}
 
 	sink := cfg.Sink
 	if sink == nil {
+		// Classic wiring: this device's own Host consumes the frames, so
+		// it owns the receive-side instrumentation and records the
+		// hub.demux leg of the trace. A fleet's shared hub does both.
+		d.Host = NewHostWithMetrics(cfg.KeepEventLog, cfg.Metrics)
+		if d.Trace != nil {
+			d.Host.AttachTracer(d.Trace)
+		}
 		sink = d.Host.Handle
 	}
 	var tx firmware.Sender
 	if cfg.Radio {
-		linkRNG := rng.Split()
+		linkRNG := &p.linkRand
+		rng.SplitInto(linkRNG)
 		if cfg.Transport != nil {
 			tr, err := cfg.Transport(sched, linkRNG, sink)
 			if err != nil {
@@ -163,13 +188,12 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 			}
 			tx = tr
 		} else {
-			link, err := rf.NewLink(cfg.Link, sched, linkRNG, sink)
-			if err != nil {
+			if err := p.link.Init(cfg.Link, sched, linkRNG, sink); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
-			d.Link = link
-			d.Transport = link
-			tx = link
+			d.Link = &p.link
+			d.Transport = d.Link
+			tx = d.Link
 		}
 		if d.Link != nil {
 			d.Link.SetTracer(d.Trace)
@@ -179,19 +203,21 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 			// loop. Both draw from their own derived random streams, taken
 			// after the link's, so a non-reliable assembly sees exactly the
 			// same streams as before.
-			arq, err := rf.NewARQ(cfg.ARQ, sched, rng.Split(), tx)
-			if err != nil {
+			rp := new(reliableParts)
+			arq, rev := &rp.arq, &rp.reverse
+			rng.SplitInto(&rp.arqRand)
+			if err := arq.Init(cfg.ARQ, sched, &rp.arqRand, tx); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
-			rev, err := rf.NewReverseLink(cfg.Link, sched, rng.Split(), arq.HandleAck)
-			if err != nil {
+			rng.SplitInto(&rp.reverseRand)
+			if err := rev.Init(cfg.Link, sched, &rp.reverseRand, arq.HandleAck); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 			arq.SetTracer(d.Trace)
 			d.ARQ = arq
 			d.Reverse = rev
 			tx = arq
-			if cfg.Sink == nil {
+			if d.Host != nil {
 				// Classic wiring: this device's own Host receives the
 				// stream, so it also emits the acks. Fleet hubs wire their
 				// sessions through Device.Reverse instead.
@@ -203,8 +229,8 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 
 	cfg.Firmware.DeviceID = cfg.DeviceID
 	cfg.Firmware.Trace = d.Trace
-	fw, err := firmware.New(cfg.Firmware, board, m, tx)
-	if err != nil {
+	fw := &p.firmware
+	if err := fw.Init(cfg.Firmware, d.Board, d.Menu, tx); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	d.Firmware = fw
@@ -223,22 +249,22 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 
 	// Drive the firmware loop on the scheduler. The period is asked from
 	// the firmware after every cycle so power-save can slow the cadence.
-	active := true
-	var tick func(at time.Duration)
-	tick = func(at time.Duration) {
-		if !active || d.stepErr != nil {
-			return
-		}
-		if err := fw.Step(at); err != nil {
-			d.stepErr = err
-			sched.Stop()
-			return
-		}
-		sched.At(at+fw.TickPeriod(), tick)
-	}
-	sched.After(fw.TickPeriod(), tick)
-	d.tickCancel = func() { active = false }
+	d.tick = d.step
+	sched.After(fw.TickPeriod(), d.tick)
 	return d, nil
+}
+
+// step runs one firmware cycle and schedules the next.
+func (d *Device) step(at time.Duration) {
+	if d.stopped || d.stepErr != nil {
+		return
+	}
+	if err := d.Firmware.Step(at); err != nil {
+		d.stepErr = err
+		d.Scheduler.Stop()
+		return
+	}
+	d.Scheduler.At(at+d.Firmware.TickPeriod(), d.tick)
 }
 
 // Run advances the simulation by d of virtual time, executing firmware
@@ -253,12 +279,7 @@ func (d *Device) Run(dur time.Duration) error {
 
 // Stop cancels the firmware tick; after Stop, Run drains only pending
 // radio deliveries.
-func (d *Device) Stop() {
-	if d.tickCancel != nil {
-		d.tickCancel()
-		d.tickCancel = nil
-	}
-}
+func (d *Device) Stop() { d.stopped = true }
 
 // Err returns the first firmware error, if any.
 func (d *Device) Err() error { return d.stepErr }

@@ -1,0 +1,30 @@
+package core
+
+import "sort"
+
+// NewHost returns a plain host driver. Devices build theirs with
+// NewHostWithMetrics, so only tests use this shorthand.
+func NewHost(keepLog bool) *Host {
+	return NewHostWithMetrics(keepLog, nil)
+}
+
+// ResetLog clears the retained event log.
+func (s *Session) ResetLog() {
+	s.mu.Lock()
+	s.events = s.events[:0]
+	s.mu.Unlock()
+}
+
+// PerDeviceStats returns every device's counters keyed by id, with the ids
+// sorted ascending for stable reporting.
+func (h *Hub) PerDeviceStats() ([]uint32, map[uint32]HostStats) {
+	ids := h.Devices()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := make(map[uint32]HostStats, len(ids))
+	for _, id := range ids {
+		if st, ok := h.DeviceStats(id); ok {
+			out[id] = st
+		}
+	}
+	return ids, out
+}

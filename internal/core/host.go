@@ -67,15 +67,10 @@ type Host struct {
 	*Session
 }
 
-// NewHost returns a host driver. With keepLog set every event is retained
-// and retrievable via Events.
-func NewHost(keepLog bool) *Host {
-	return NewHostWithMetrics(keepLog, nil)
-}
-
 // NewHostWithMetrics returns a host driver that contributes its receive
 // counters and an end-to-end latency histogram to the registry. A nil
-// registry yields a plain uninstrumented host.
+// registry yields a plain uninstrumented host. With keepLog set every
+// event is retained and retrievable via Events.
 func NewHostWithMetrics(keepLog bool, reg *telemetry.Registry) *Host {
 	s := NewSession(0, keepLog)
 	if reg != nil {

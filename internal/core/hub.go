@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -320,18 +319,4 @@ func (h *Hub) DeviceStats(id uint32) (HostStats, bool) {
 		return HostStats{}, false
 	}
 	return s.Stats(), true
-}
-
-// PerDeviceStats returns every device's counters keyed by id, with the ids
-// sorted ascending for stable reporting.
-func (h *Hub) PerDeviceStats() ([]uint32, map[uint32]HostStats) {
-	ids := h.Devices()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make(map[uint32]HostStats, len(ids))
-	for _, id := range ids {
-		if st, ok := h.DeviceStats(id); ok {
-			out[id] = st
-		}
-	}
-	return ids, out
 }

@@ -366,13 +366,6 @@ func (s *Session) Events() []Event {
 	return out
 }
 
-// ResetLog clears the retained event log.
-func (s *Session) ResetLog() {
-	s.mu.Lock()
-	s.events = s.events[:0]
-	s.mu.Unlock()
-}
-
 // Handle decodes one raw payload and consumes it. It is a valid rf link
 // sink for a device wired directly to this session. The payload is fully
 // decoded before returning, so it may alias a transport's reusable buffer.

@@ -69,9 +69,10 @@ type Display struct {
 	readSel  byte
 }
 
-// New returns a cleared panel at mid contrast.
-func New() *Display {
-	return &Display{contrast: 32}
+// Init resets d in place to a cleared panel at mid contrast. A board
+// holds its displays by value and builds them with Init.
+func (d *Display) Init() {
+	*d = Display{contrast: 32}
 }
 
 // WriteBytes implements the I2C slave write protocol.

@@ -21,3 +21,11 @@ func (d *Display) packedRows() [HeightPx][2]uint64 {
 	}
 	return rows
 }
+
+// New allocates a panel and builds it with Init. Boards hold their
+// displays by value, so only tests build one on its own.
+func New() *Display {
+	d := new(Display)
+	d.Init()
+	return d
+}

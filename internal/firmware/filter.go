@@ -60,18 +60,35 @@ const DefaultEMAAlpha = 0.35
 // coefficient (ignored by Raw/Median3); values outside (0,1] fall back to
 // the prototype's DefaultEMAAlpha.
 func NewFilter(kind FilterKind, alpha float64) (Filter, error) {
+	return new(filterSet).init(kind, alpha)
+}
+
+// filterSet holds every stage a filter may be built from, by value, so a
+// filter is one allocation and the firmware, which embeds its set, pays
+// none.
+type filterSet struct {
+	median medianFilter
+	ema    emaFilter
+	chain  chainFilter
+}
+
+// init resets s and returns the filter of the given kind built from its
+// stages; see NewFilter for the arguments.
+func (s *filterSet) init(kind FilterKind, alpha float64) (Filter, error) {
 	if alpha <= 0 || alpha > 1 {
 		alpha = DefaultEMAAlpha
 	}
+	*s = filterSet{ema: emaFilter{alpha: alpha}}
 	switch kind {
 	case Raw:
 		return rawFilter{}, nil
 	case Median3:
-		return &medianFilter{}, nil
+		return &s.median, nil
 	case EMA:
-		return &emaFilter{alpha: alpha}, nil
+		return &s.ema, nil
 	case MedianEMA:
-		return &chainFilter{first: &medianFilter{}, second: &emaFilter{alpha: alpha}}, nil
+		s.chain = chainFilter{first: &s.median, second: &s.ema}
+		return &s.chain, nil
 	default:
 		return nil, fmt.Errorf("firmware: unknown filter kind %d", kind)
 	}

@@ -137,12 +137,15 @@ func (c *counters) stats() Stats {
 
 // Firmware is the device control loop.
 type Firmware struct {
-	cfg    Config
-	board  *smartits.Board
-	menu   *menu.Menu
-	mapper *mapping.Mapper
-	filter Filter
-	tx     Sender
+	cfg   Config
+	board *smartits.Board
+	menu  *menu.Menu
+	// mapper is rebuilt in place on level changes; filter is built from
+	// filters. Both are held by value, so a Firmware is one allocation.
+	mapper  mapping.Mapper
+	filter  Filter
+	filters filterSet
+	tx      Sender
 
 	stats      counters
 	lastMap    mapping.MapStats // last mirrored mapper counters
@@ -171,14 +174,16 @@ type Firmware struct {
 	i2cBuf []byte
 }
 
-// New builds firmware bound to a board, a menu and a transmitter. tx may be
-// nil for a device without a radio.
-func New(cfg Config, board *smartits.Board, m *menu.Menu, tx Sender) (*Firmware, error) {
+// Init builds, in place at fw, firmware bound to a board, a menu and a
+// transmitter. tx may be nil for a device without a radio. A device holds
+// its Firmware by value; the filter points into fw, so a Firmware must not
+// be copied once built.
+func (fw *Firmware) Init(cfg Config, board *smartits.Board, m *menu.Menu, tx Sender) error {
 	if board == nil {
-		return nil, errors.New("firmware: board is required")
+		return errors.New("firmware: board is required")
 	}
 	if m == nil {
-		return nil, errors.New("firmware: menu is required")
+		return errors.New("firmware: menu is required")
 	}
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = DefaultConfig().SamplePeriod
@@ -195,21 +200,21 @@ func New(cfg Config, board *smartits.Board, m *menu.Menu, tx Sender) (*Firmware,
 	if cfg.BackButton == 0 {
 		cfg.BackButton = buttons.LeftUpper
 	}
-	f, err := NewFilter(cfg.Filter, cfg.FilterAlpha)
-	if err != nil {
-		if cfg.Filter != 0 {
-			return nil, err
-		}
-		f, _ = NewFilter(MedianEMA, cfg.FilterAlpha)
-	}
-	fw := &Firmware{
+	*fw = Firmware{
 		cfg:       cfg,
 		board:     board,
 		menu:      m,
-		filter:    f,
 		tx:        tx,
 		prevIndex: -1,
 	}
+	f, err := fw.filters.init(cfg.Filter, cfg.FilterAlpha)
+	if err != nil {
+		if cfg.Filter != 0 {
+			return err
+		}
+		f, _ = fw.filters.init(MedianEMA, cfg.FilterAlpha)
+	}
+	fw.filter = f
 	if cfg.ContextSensing {
 		fw.ctx.detector = devctx.NewDetector(devctx.DefaultConfig())
 	}
@@ -217,10 +222,7 @@ func New(cfg Config, board *smartits.Board, m *menu.Menu, tx Sender) (*Firmware,
 	if fw.rel.sdaz.GainHigh == 0 {
 		fw.rel.sdaz = menu.DefaultSDAZ()
 	}
-	if err := fw.rebuildMapper(); err != nil {
-		return nil, err
-	}
-	return fw, nil
+	return fw.rebuildMapper()
 }
 
 // Stats returns a snapshot of the firmware counters.
@@ -244,8 +246,9 @@ func (fw *Firmware) Collect(s *telemetry.Snapshot) {
 	s.AddCounter(telemetry.MetricFwDisplayWrites, st.DisplayWrites)
 }
 
-// Mapper returns the active island mapper (rebuilt on level changes).
-func (fw *Firmware) Mapper() *mapping.Mapper { return fw.mapper }
+// Mapper returns the active island mapper. The pointer is stable; the
+// mapper behind it is rebuilt in place on level changes.
+func (fw *Firmware) Mapper() *mapping.Mapper { return &fw.mapper }
 
 // Menu returns the navigated menu.
 func (fw *Firmware) Menu() *menu.Menu { return fw.menu }
@@ -264,7 +267,7 @@ func (fw *Firmware) rebuildMapper() error {
 	if err != nil {
 		return fmt.Errorf("firmware: rebuild mapper: %w", err)
 	}
-	fw.mapper = t.NewMapper()
+	fw.mapper.Init(t)
 	fw.lastMap = mapping.MapStats{}
 	fw.filter.Reset()
 	fw.resetRelative()

@@ -62,8 +62,9 @@ type Config struct {
 	// Seed is the master seed; every device derives its own independent
 	// seed from it, so the whole fleet is reproducible from one number.
 	Seed uint64
-	// Core is the per-device template. Seed, DeviceID, Sink and the event
-	// log flag are overwritten per device. The zero value means
+	// Core is the per-device template. Seed, DeviceID and Sink are
+	// overwritten per device; with Sink set a device builds no Host, so
+	// the event log flag has no effect (the hub keeps the logs). The zero value means
 	// core.DefaultConfig().
 	Core core.Config
 	// Menu is the root of the menu tree every device navigates. Navigation
@@ -209,21 +210,21 @@ func New(cfg Config) (*Runner, error) {
 	}
 	r := &Runner{cfg: cfg, hub: hub}
 	master := sim.NewRand(cfg.Seed)
+	// One method value serves every device: each would otherwise allocate
+	// its own copy of the same closure.
+	sink := r.hub.Handle
 	for i := 0; i < cfg.Devices; i++ {
 		id := uint32(i + 1)
 		c := cfg.Core
 		c.Seed = master.Uint64()
 		c.DeviceID = id
-		c.Sink = r.hub.Handle
+		c.Sink = sink
 		c.Metrics = cfg.Metrics
 		c.Tracing = cfg.Tracing
 		if cfg.Reliable {
 			c.Reliable = true
 			c.ARQ = cfg.ARQ
 		}
-		// The hub keeps the logs; the per-device host would be a second,
-		// unused copy.
-		c.KeepEventLog = false
 		dev, err := core.NewDevice(c, cfg.Menu)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %d: %w", id, err)

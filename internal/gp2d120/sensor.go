@@ -182,19 +182,30 @@ type Sensor struct {
 // New returns a sensor with the given configuration, surface and random
 // source. rng may be nil for a noiseless, deterministic sensor.
 func New(cfg Config, surface Surface, rng *sim.Rand) (*Sensor, error) {
+	s := new(Sensor)
+	if err := s.Init(cfg, surface, rng); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Init builds the sensor New describes in place at s, so an owner can hold
+// its Sensor by value.
+func (s *Sensor) Init(cfg Config, surface Surface, rng *sim.Rand) error {
 	if cfg.A <= 0 || cfg.B < 0 {
-		return nil, fmt.Errorf("gp2d120: invalid characteristic a=%g b=%g", cfg.A, cfg.B)
+		return fmt.Errorf("gp2d120: invalid characteristic a=%g b=%g", cfg.A, cfg.B)
 	}
 	if surface.Reflectivity <= 0 {
-		return nil, fmt.Errorf("gp2d120: reflectivity must be positive, got %g", surface.Reflectivity)
+		return fmt.Errorf("gp2d120: reflectivity must be positive, got %g", surface.Reflectivity)
 	}
-	return &Sensor{
+	*s = Sensor{
 		cfg:     cfg,
 		surface: surface,
 		rng:     rng,
 		tab:     tableFor(cfg.A, cfg.B, cfg.C),
 		gain:    weakGain(surface.Reflectivity),
-	}, nil
+	}
+	return nil
 }
 
 // Default returns a sensor with datasheet parameters, the default surface

@@ -60,6 +60,10 @@ type Bus struct {
 	// stats carries every counter but PerSlaveOps, which Stats builds from
 	// the entries' ops.
 	stats Stats
+	// inline backs slaves up to the two displays of a board, so attaching
+	// them costs the bus no allocation. slaves points into it, so a Bus
+	// must not be copied once built.
+	inline [2]attachment
 }
 
 // attachment is one address on the bus. Detach clears slave but keeps the
@@ -70,13 +74,15 @@ type attachment struct {
 	ops   uint64
 }
 
-// NewBus returns a bus running at the given clock rate (Hz). A rate <= 0
-// selects standard mode (100 kHz).
-func NewBus(clockHz int) *Bus {
+// Init resets b in place to an empty bus running at the given clock rate
+// (Hz). A rate <= 0 selects standard mode (100 kHz). A board holds its Bus
+// by value and builds it with Init.
+func (b *Bus) Init(clockHz int) {
 	if clockHz <= 0 {
 		clockHz = 100_000
 	}
-	return &Bus{clockHz: clockHz}
+	*b = Bus{clockHz: clockHz}
+	b.slaves = b.inline[:0]
 }
 
 // entry returns the bus entry for addr, or nil if none was ever attached.

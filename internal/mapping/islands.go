@@ -218,7 +218,15 @@ func NewTable(cfg Config, ch Characteristic) (*Table, error) {
 
 // NewMapper returns a mapper over the table with no active island and zero
 // counters.
-func (t *Table) NewMapper() *Mapper { return &Mapper{Table: t, current: -1} }
+func (t *Table) NewMapper() *Mapper {
+	m := new(Mapper)
+	m.Init(t)
+	return m
+}
+
+// Init resets m in place to a mapper over t with no active island and zero
+// counters, so an owner can hold its Mapper by value.
+func (m *Mapper) Init(t *Table) { *m = Mapper{Table: t, current: -1} }
 
 // Config returns the table's configuration.
 func (t *Table) Config() Config { return t.cfg }

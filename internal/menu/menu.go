@@ -105,13 +105,24 @@ type Menu struct {
 
 // New returns a menu rooted at root with the cursor on the first entry.
 func New(root *Node) (*Menu, error) {
+	m := new(Menu)
+	if err := m.Init(root); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Init builds the navigator New describes in place at m, so an owner can
+// hold its Menu by value.
+func (m *Menu) Init(root *Node) error {
 	if root == nil {
-		return nil, errors.New("menu: nil root")
+		return errors.New("menu: nil root")
 	}
 	if root.IsLeaf() {
-		return nil, fmt.Errorf("menu: root %q has no entries: %w", root.Title, ErrEmpty)
+		return fmt.Errorf("menu: root %q has no entries: %w", root.Title, ErrEmpty)
 	}
-	return &Menu{root: root, level: root}, nil
+	*m = Menu{root: root, level: root}
+	return nil
 }
 
 // Root returns the root node.

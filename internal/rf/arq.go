@@ -182,19 +182,21 @@ type ARQ struct {
 	lastTxEnd time.Duration
 }
 
-// NewARQ wraps an inner transport in a reliable sender. rng may be nil, in
-// which case timeouts are not jittered.
-func NewARQ(cfg ARQConfig, sched *sim.Scheduler, rng *sim.Rand, tx Transport) (*ARQ, error) {
+// Init builds, in place at a, a reliable sender wrapping an inner
+// transport. rng may be nil, in which case timeouts are not jittered. An
+// owner holds its ARQ by value; the timer callback captures a, so an ARQ
+// must not be copied once built.
+func (a *ARQ) Init(cfg ARQConfig, sched *sim.Scheduler, rng *sim.Rand, tx Transport) error {
 	if sched == nil {
-		return nil, fmt.Errorf("rf: arq: scheduler is required")
+		return fmt.Errorf("rf: arq: scheduler is required")
 	}
 	if tx == nil {
-		return nil, fmt.Errorf("rf: arq: inner transport is required")
+		return fmt.Errorf("rf: arq: inner transport is required")
 	}
 	cfg = cfg.withDefaults()
-	a := &ARQ{cfg: cfg, sched: sched, rng: rng, tx: tx, rto: cfg.RTO}
+	*a = ARQ{cfg: cfg, sched: sched, rng: rng, tx: tx, rto: cfg.RTO}
 	a.fire = func(time.Duration) { a.onTimer(a.popArm()) }
-	return a, nil
+	return nil
 }
 
 // Stats returns the reliable-delivery counters.
@@ -573,7 +575,7 @@ type ReverseLink struct {
 	cfg   LinkConfig
 	sched *sim.Scheduler
 	rng   *sim.Rand
-	dec   *Decoder
+	dec   Decoder
 	sink  func(payload []byte, at time.Duration)
 	cnt   reverseCounters
 
@@ -588,21 +590,23 @@ type ReverseLink struct {
 	deliverAt time.Duration
 }
 
-// NewReverseLink returns an ack back-channel delivering decoded ack
+// Init builds, in place at r, an ack back-channel delivering decoded ack
 // payloads to sink (usually ARQ.HandleAck). Loss uses cfg.AckLossProb;
 // latency and jitter are shared with the forward configuration. rng may be
-// nil for an ideal reverse channel.
-func NewReverseLink(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*ReverseLink, error) {
+// nil for an ideal reverse channel. An owner holds its ReverseLink by
+// value; the delivery callbacks capture r, so a ReverseLink must not be
+// copied once built.
+func (r *ReverseLink) Init(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) error {
 	if sched == nil {
-		return nil, fmt.Errorf("rf: reverse link: scheduler is required")
+		return fmt.Errorf("rf: reverse link: scheduler is required")
 	}
 	if sink == nil {
-		return nil, fmt.Errorf("rf: reverse link: sink is required")
+		return fmt.Errorf("rf: reverse link: sink is required")
 	}
 	if cfg.AckLossProb < 0 || cfg.AckLossProb > 1 {
-		return nil, fmt.Errorf("rf: reverse link: AckLossProb must be in [0,1]")
+		return fmt.Errorf("rf: reverse link: AckLossProb must be in [0,1]")
 	}
-	r := &ReverseLink{cfg: cfg, sched: sched, rng: rng, dec: NewDecoder(), sink: sink}
+	*r = ReverseLink{cfg: cfg, sched: sched, rng: rng, sink: sink}
 	r.onPayload = func(p []byte) {
 		r.cnt.delivered.Add(1)
 		r.sink(p, r.deliverAt)
@@ -611,7 +615,7 @@ func NewReverseLink(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink fu
 		r.deliverAt = at
 		r.dec.FeedFunc(r.frames.pop(), r.onPayload)
 	}
-	return r, nil
+	return nil
 }
 
 // Stats returns the back-channel counters.

@@ -92,7 +92,7 @@ type Link struct {
 	cfg   LinkConfig
 	sched *sim.Scheduler
 	rng   *sim.Rand
-	dec   *Decoder
+	dec   Decoder
 	sink  func(payload []byte, at time.Duration)
 	cnt   linkCounters
 	trace *tracing.Recorder
@@ -125,20 +125,31 @@ type Link struct {
 // bytes must copy them. Every in-tree sink (Hub.Handle, Session.Handle,
 // ARQ.HandleAck) decodes synchronously and retains nothing.
 func NewLink(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*Link, error) {
+	l := new(Link)
+	if err := l.Init(cfg, sched, rng, sink); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Init builds the link NewLink describes in place at l, so an owner can
+// hold its Link by value. The delivery callbacks capture l, so a Link must
+// not be copied once built.
+func (l *Link) Init(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) error {
 	if sched == nil {
-		return nil, fmt.Errorf("rf: scheduler is required")
+		return fmt.Errorf("rf: scheduler is required")
 	}
 	if sink == nil {
-		return nil, fmt.Errorf("rf: sink is required")
+		return fmt.Errorf("rf: sink is required")
 	}
 	if cfg.LossProb < 0 || cfg.LossProb > 1 || cfg.CorruptProb < 0 || cfg.CorruptProb > 1 ||
 		cfg.BurstLossProb < 0 || cfg.BurstLossProb > 1 || cfg.AckLossProb < 0 || cfg.AckLossProb > 1 {
-		return nil, fmt.Errorf("rf: probabilities must be in [0,1]")
+		return fmt.Errorf("rf: probabilities must be in [0,1]")
 	}
 	if cfg.BurstLossProb > 0 && cfg.BurstLossLen < 1 {
 		cfg.BurstLossLen = 4
 	}
-	l := &Link{cfg: cfg, sched: sched, rng: rng, dec: NewDecoder(), sink: sink}
+	*l = Link{cfg: cfg, sched: sched, rng: rng, sink: sink}
 	l.onPayload = func(p []byte) {
 		l.cnt.delivered.Add(1)
 		if l.trace != nil {
@@ -154,7 +165,7 @@ func NewLink(cfg LinkConfig, sched *sim.Scheduler, rng *sim.Rand, sink func(payl
 		l.deliverAt = at
 		l.dec.FeedFunc(l.frames.pop(), l.onPayload)
 	}
-	return l, nil
+	return nil
 }
 
 // Stats returns the channel statistics.

@@ -16,7 +16,16 @@ type Rand struct {
 // NewRand returns a source seeded from the given value. Two sources built
 // from the same seed yield identical streams.
 func NewRand(seed uint64) *Rand {
-	r := &Rand{}
+	r := new(Rand)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r in place to the stream NewRand(seed) yields, dropping any
+// cached normal deviate. An owner that holds its Rand by value seeds it
+// with Seed instead of allocating a separate source.
+func (r *Rand) Seed(seed uint64) {
+	*r = Rand{}
 	// splitmix64 to spread the seed across the state.
 	x := seed
 	for i := range r.s {
@@ -26,13 +35,20 @@ func NewRand(seed uint64) *Rand {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives an independent stream from this one. Use it to hand each
 // model its own source so adding draws to one model does not perturb others.
 func (r *Rand) Split() *Rand {
-	return NewRand(r.Uint64() ^ 0xd1b54a32d192ed03)
+	c := new(Rand)
+	r.SplitInto(c)
+	return c
+}
+
+// SplitInto derives into dst, in place, the stream Split would return; it
+// draws from r exactly as Split does.
+func (r *Rand) SplitInto(dst *Rand) {
+	dst.Seed(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -46,7 +46,15 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler driving the given clock.
 func NewScheduler(clock *Clock) *Scheduler {
-	return &Scheduler{clock: clock}
+	s := new(Scheduler)
+	s.Init(clock)
+	return s
+}
+
+// Init resets s in place to an empty scheduler driving the given clock, so
+// an owner can hold its Scheduler by value.
+func (s *Scheduler) Init(clock *Clock) {
+	*s = Scheduler{clock: clock}
 }
 
 // Clock returns the scheduler's clock.

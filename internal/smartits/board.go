@@ -95,52 +95,82 @@ type Board struct {
 	distanceCm float64
 	battery    float64
 	contrast   byte // potentiometer position 0..63
+
+	// parts holds the components by value: the exported pointers above
+	// point into it, so a board is one allocation. The ADC channels and
+	// the bus keep pointers into the board, so a Board must not be copied
+	// once assembled.
+	parts struct {
+		sensor, sensor2 gp2d120.Sensor
+		accel           adxl311.Accel
+		adc             adc.Converter
+		bus             i2c.Bus
+		top, bottom     display.Display
+		pad             buttons.Pad
+		// The components' streams, split from the board's in this order.
+		sensorRand, sensor2Rand, accelRand, adcRand sim.Rand
+	}
 }
 
 // Assemble builds and wires a board. rng may be nil for a fully
 // deterministic board.
 func Assemble(cfg Config, rng *sim.Rand) (*Board, error) {
+	b := new(Board)
+	if err := b.Init(cfg, rng); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Init assembles and wires the board Assemble describes in place at b, so
+// an owner can hold its Board by value.
+func (b *Board) Init(cfg Config, rng *sim.Rand) error {
 	if cfg.BatteryVolts <= 0 {
 		cfg.BatteryVolts = 9.0
 	}
-	var sensorRng, sensor2Rng, accelRng, adcRng *sim.Rand
-	if rng != nil {
-		sensorRng = rng.Split()
-		sensor2Rng = rng.Split()
-		accelRng = rng.Split()
-		adcRng = rng.Split()
-	}
-
-	sensor, err := gp2d120.New(cfg.Sensor, cfg.Surface, sensorRng)
-	if err != nil {
-		return nil, fmt.Errorf("smartits: sensor: %w", err)
-	}
-	b := &Board{
+	*b = Board{
 		cfg:        cfg,
-		Sensor:     sensor,
-		Accel:      adxl311.New(accelRng),
-		Bus:        i2c.NewBus(0),
-		Top:        display.New(),
-		Bottom:     display.New(),
-		Pad:        buttons.NewPad(cfg.Layout),
 		distanceCm: 15, // comfortable mid-range hold
 		battery:    cfg.BatteryVolts,
 		contrast:   32,
 	}
-	if cfg.SecondSensor {
-		s2, err := gp2d120.New(cfg.Sensor, cfg.Surface, sensor2Rng)
-		if err != nil {
-			return nil, fmt.Errorf("smartits: second sensor: %w", err)
-		}
-		b.Sensor2 = s2
+	p := &b.parts
+	var sensorRng, sensor2Rng, accelRng, adcRng *sim.Rand
+	if rng != nil {
+		sensorRng, sensor2Rng, accelRng, adcRng = &p.sensorRand, &p.sensor2Rand, &p.accelRand, &p.adcRand
+		rng.SplitInto(sensorRng)
+		rng.SplitInto(sensor2Rng)
+		rng.SplitInto(accelRng)
+		rng.SplitInto(adcRng)
 	}
 
-	conv, err := adc.New(adc.DefaultVref, NumChannels, adcRng)
-	if err != nil {
-		return nil, fmt.Errorf("smartits: adc: %w", err)
+	if err := p.sensor.Init(cfg.Sensor, cfg.Surface, sensorRng); err != nil {
+		return fmt.Errorf("smartits: sensor: %w", err)
 	}
-	b.ADC = conv
-	wiring := []struct {
+	b.Sensor = &p.sensor
+	p.accel.Init(accelRng)
+	b.Accel = &p.accel
+	p.bus.Init(0)
+	b.Bus = &p.bus
+	p.top.Init()
+	b.Top = &p.top
+	p.bottom.Init()
+	b.Bottom = &p.bottom
+	p.pad.Init(cfg.Layout)
+	b.Pad = &p.pad
+	if cfg.SecondSensor {
+		if err := p.sensor2.Init(cfg.Sensor, cfg.Surface, sensor2Rng); err != nil {
+			return fmt.Errorf("smartits: second sensor: %w", err)
+		}
+		b.Sensor2 = &p.sensor2
+	}
+
+	if err := p.adc.Init(adc.DefaultVref, NumChannels, adcRng); err != nil {
+		return fmt.Errorf("smartits: adc: %w", err)
+	}
+	b.ADC = &p.adc
+	conv := b.ADC
+	wiring := [...]struct {
 		ch  int
 		src adc.Source
 	}{
@@ -151,7 +181,7 @@ func Assemble(cfg Config, rng *sim.Rand) (*Board, error) {
 	}
 	for _, w := range wiring {
 		if err := conv.Connect(w.ch, w.src); err != nil {
-			return nil, fmt.Errorf("smartits: wire channel %d: %w", w.ch, err)
+			return fmt.Errorf("smartits: wire channel %d: %w", w.ch, err)
 		}
 	}
 	if b.Sensor2 != nil {
@@ -159,17 +189,17 @@ func Assemble(cfg Config, rng *sim.Rand) (*Board, error) {
 		// noise — the dual-sensor firmware mode averages the two.
 		err := conv.Connect(ChanDistance2, func() float64 { return b.Sensor2.Sample(b.distanceCm) })
 		if err != nil {
-			return nil, fmt.Errorf("smartits: wire channel %d: %w", ChanDistance2, err)
+			return fmt.Errorf("smartits: wire channel %d: %w", ChanDistance2, err)
 		}
 	}
 
 	if err := b.Bus.Attach(AddrTopDisplay, b.Top); err != nil {
-		return nil, fmt.Errorf("smartits: top display: %w", err)
+		return fmt.Errorf("smartits: top display: %w", err)
 	}
 	if err := b.Bus.Attach(AddrBottomDisplay, b.Bottom); err != nil {
-		return nil, fmt.Errorf("smartits: bottom display: %w", err)
+		return fmt.Errorf("smartits: bottom display: %w", err)
 	}
-	return b, nil
+	return nil
 }
 
 // SetDistance sets the physical sensor-to-body distance in cm.

@@ -35,9 +35,7 @@ var testOnlySurface = map[string]string{
 	"buttons.Pad.Pressed":               "accessor",
 	"buttons.Pad.SetDebounce":           "accessor",
 	"context.DecodeContext":             "codec",
-	"core.Hub.PerDeviceStats":           "debt",
 	"core.Session.OnState":              "debt",
-	"core.Session.ResetLog":             "debt",
 	"display.Display.Contrast":          "accessor",
 	"display.Display.Inverted":          "accessor",
 	"display.Display.Line":              "accessor",
