@@ -295,6 +295,42 @@ func BenchmarkHubDemuxInstrumented(b *testing.B) {
 	b.ReportMetric(lat.P50, "p50ms")
 }
 
+// BenchmarkHubDemuxTapped is BenchmarkHubDemuxInstrumented with one tap
+// registered on every session, so each frame also builds its Event and
+// runs the dispatch path. Device i+1 sends seq i, so device 1's frames
+// (seq 0) are the one in 64 whose dispatch is timed into
+// hub_dispatch_seconds, the session's sample rate. CI's bench gate
+// compares it against the base commit.
+func BenchmarkHubDemuxTapped(b *testing.B) {
+	const devices = 64
+	reg := telemetry.New()
+	hub := core.NewHubWithMetrics(false, reg)
+	var tapped uint64
+	frames := make([][]byte, devices)
+	for i := range frames {
+		m := rf.Message{
+			Device: uint32(i + 1), Kind: rf.MsgScroll,
+			Seq: uint16(i), AtMillis: 40, Index: int16(i % 10),
+		}
+		payload, err := m.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames[i] = payload
+		hub.Session(m.Device).Tap(func(core.Event) { tapped++ })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hub.Handle(frames[i%devices], time.Duration(i)*time.Millisecond)
+	}
+	b.StopTimer()
+	d, _ := reg.Snapshot().Histogram(telemetry.MetricHubDispatch)
+	if tapped != uint64(b.N) || d.Count != uint64((b.N+devices-1)/devices) {
+		b.Fatalf("tapped %d frames, timed %d; want %d and %d", tapped, d.Count, b.N, (b.N+devices-1)/devices)
+	}
+}
+
 // BenchmarkHubDemuxTraced is BenchmarkHubDemux with a flight recorder
 // attached: every frame additionally records one hub.demux span event into
 // the per-device bounded ring. The design budget is ≤5% over plain and

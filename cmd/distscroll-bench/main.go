@@ -310,6 +310,11 @@ type opsOpts struct {
 	histWindows  int
 	histInterval time.Duration
 	histOut      string
+
+	// latencyMetric is the histogram the -slo-p99 rule reads; "" means
+	// the watchdog's default, hub_e2e_latency_ms. Set by the command,
+	// not by a flag.
+	latencyMetric string
 }
 
 func (o *opsOpts) register(fs *flag.FlagSet) {
@@ -388,6 +393,7 @@ func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, s
 	wd := ops.StartWatchdog(ops.WatchdogConfig{
 		Registry:        reg,
 		Interval:        o.interval,
+		LatencyMetric:   o.latencyMetric,
 		LatencyMaxP99Ms: o.p99,
 		StallGauge:      stallClock,
 		StallAfter:      o.stall,

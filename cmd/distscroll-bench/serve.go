@@ -39,6 +39,11 @@ func serveCmd(args []string, stdout io.Writer) error {
 	fs.BoolVar(&o.pipeline, "ingest-pipeline", true, "hand decoded frames to per-shard ring workers in batches (false = direct per-frame consume on the connection goroutine)")
 	fs.StringVar(&o.policy, "ring-policy", "block", "what a full shard ring does to its producer — block (lossless backpressure) or drop (shed batches, count them)")
 	o.ops.register(fs)
+	// A served gateway has no end-to-end latency (its ingest stamps and
+	// the devices' time are different clocks); the p99 rule reads the
+	// ring wait, which it measures on one clock.
+	o.ops.latencyMetric = telemetry.MetricNetRingWait
+	fs.Lookup("slo-p99").Usage = "SLO watchdog: breach when the windowed p99 of net_ring_wait_ms (ingest stamp to shard consume; needs -ingest-pipeline) exceeds this many milliseconds (0 = off)"
 	prof.register(fs)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -52,6 +57,8 @@ func serveCmd(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-for must not be negative, got %v", o.dur)
 	case o.policy != "block" && o.policy != "drop":
 		return fmt.Errorf("-ring-policy must be block or drop, got %q", o.policy)
+	case o.ops.p99 > 0 && !o.pipeline:
+		return fmt.Errorf("-slo-p99 reads net_ring_wait_ms, which only -ingest-pipeline records; drop -ingest-pipeline=false or -slo-p99")
 	}
 	if err := o.ops.check(fs); err != nil {
 		return err

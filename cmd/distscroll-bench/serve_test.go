@@ -41,6 +41,7 @@ func TestServeConnectFlagValidation(t *testing.T) {
 		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-slots", "0"}, undefined + "-ring-slots"},
 		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-batch", "0"}, undefined + "-ring-batch"},
 		{[]string{"serve", "-listen", "127.0.0.1:0", "-ring-policy", "shed"}, "must be block or drop"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-ingest-pipeline=false", "-slo-p99", "5"}, "only -ingest-pipeline records"},
 		{[]string{"serve"}, "-listen is required"},
 		{[]string{"serve", "-listen", "127.0.0.1:0", "-for", "-1s"}, "-for must not be negative"},
 		{[]string{"load", "-connect", "127.0.0.1:9", "-devices", "2"}, undefined + "-devices"},

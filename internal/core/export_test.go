@@ -8,6 +8,11 @@ func NewHost(keepLog bool) *Host {
 	return NewHostWithMetrics(keepLog, nil)
 }
 
+// OnState registers the debug-state handler.
+func (s *Session) OnState(fn func(Event)) {
+	s.updateHandlers(func(h *sessionHandlers) { h.onState = fn })
+}
+
 // ResetLog clears the retained event log.
 func (s *Session) ResetLog() {
 	s.mu.Lock()

@@ -74,7 +74,7 @@ type Host struct {
 func NewHostWithMetrics(keepLog bool, reg *telemetry.Registry) *Host {
 	s := NewSession(0, keepLog)
 	if reg != nil {
-		s.attachMetrics(reg)
+		s.attachMetrics(reg.Histogram(telemetry.MetricHubDispatch, telemetry.DispatchBucketsSec), true)
 		reg.RegisterCollector(func(snap *telemetry.Snapshot) {
 			var agg HubStats
 			agg.add(s.Stats())

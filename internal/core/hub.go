@@ -73,7 +73,12 @@ var emptyTable = &sessionTable{}
 // counter.
 type Hub struct {
 	keepLogs bool
-	metrics  *telemetry.Registry
+	// dispatch instruments new sessions: the registry's shared
+	// hub_dispatch_seconds histogram, fetched once per hub (nil on a plain
+	// hub). deviceClock says whether sessions also keep a latency
+	// histogram (see Session.attachMetrics).
+	dispatch    *telemetry.Histogram
+	deviceClock bool
 
 	table     atomic.Pointer[sessionTable]
 	sparse    sync.Map // uint32 → *Session for ids >= denseLimit (rare)
@@ -107,8 +112,7 @@ func NewHub(keepLogs bool) *Hub {
 // atomics, so the demux hot path pays nothing beyond the per-frame
 // latency bucket increment. A nil registry yields a plain hub.
 func NewHubWithMetrics(keepLogs bool, reg *telemetry.Registry) *Hub {
-	h := &Hub{keepLogs: keepLogs, metrics: reg}
-	h.table.Store(emptyTable)
+	h := NewHubDetached(keepLogs, reg, true)
 	if reg != nil {
 		reg.RegisterCollector(h.collect)
 	}
@@ -116,15 +120,24 @@ func NewHubWithMetrics(keepLogs bool, reg *telemetry.Registry) *Hub {
 }
 
 // NewHubDetached returns a hub whose sessions are instrumented against the
-// registry exactly like NewHubWithMetrics, but which does NOT register its
-// own pull collector. The networked gateway uses it for hub shards: each
-// shard's sessions still record per-device counters and latency histograms,
-// while the gateway registers one collector of its own that aggregates
-// every shard via Collect — a per-shard collector would overwrite the
-// hub_devices gauge with the last shard's count instead of the fleet total.
-func NewHubDetached(keepLogs bool, reg *telemetry.Registry) *Hub {
-	h := &Hub{keepLogs: keepLogs, metrics: reg}
+// registry like NewHubWithMetrics, but which does NOT register its own
+// pull collector. The networked gateway uses it for hub shards: each
+// shard's sessions still record per-device counters, while the gateway
+// registers one collector of its own that aggregates every shard via
+// Collect — a per-shard collector would overwrite the hub_devices gauge
+// with the last shard's count instead of the fleet total.
+//
+// deviceClock reports whether the arrival stamps given to Consume are on
+// the devices' own clock, as virtual-time delivery's are. Only then do
+// sessions record hub_e2e_latency_ms; a TCP-served gateway stamps frames
+// with its wall clock and passes false.
+func NewHubDetached(keepLogs bool, reg *telemetry.Registry, deviceClock bool) *Hub {
+	h := &Hub{keepLogs: keepLogs}
 	h.table.Store(emptyTable)
+	if reg != nil {
+		h.dispatch = reg.Histogram(telemetry.MetricHubDispatch, telemetry.DispatchBucketsSec)
+		h.deviceClock = deviceClock
+	}
 	return h
 }
 
@@ -181,8 +194,8 @@ func (h *Hub) Session(id uint32) *Session {
 		return s
 	}
 	s := NewSession(id, h.keepLogs)
-	if h.metrics != nil {
-		s.attachMetrics(h.metrics)
+	if h.dispatch != nil {
+		s.attachMetrics(h.dispatch, h.deviceClock)
 	}
 	switch {
 	case id < uint32(len(t.dense)):

@@ -70,13 +70,23 @@ type Session struct {
 	// lat records per-frame end-to-end pipeline latency (device stamp →
 	// host arrival, milliseconds). It is a LocalHistogram synchronised by
 	// s.mu, so the instrumented hot path pays one short critical section
-	// for the bucket increment. Nil when the session is uninstrumented,
-	// which costs a single predictable branch.
+	// for the bucket increment. Nil when the session is uninstrumented or
+	// its arrival stamps are on another clock than the device's (a
+	// TCP-served gateway), which costs a single predictable branch.
 	lat *telemetry.LocalHistogram
-	// dispatch records handler+tap dispatch wall time. It is only sampled
-	// when a handler or tap is actually registered.
+	// dispatch is the hub's shared handler+tap dispatch-time histogram.
+	// One frame in dispatchSampleEvery is timed, and only when a handler
+	// or tap is registered.
 	dispatch *telemetry.Histogram
 }
+
+// dispatchSampleEvery is the dispatch-timing sample rate: Consume times
+// handler and tap dispatch only for frames whose sequence number is a
+// multiple of it. Two clock reads cost more than a typical tap, so timing
+// every frame would dominate the instrumented consume path. The rule is
+// stateless and, because 64 divides 2^16, it samples exactly one frame in
+// 64 of a sequence-contiguous stream, across wrap-around too.
+const dispatchSampleEvery = 64
 
 // logRecord is one retained event in 24 B, against Event's 56: the
 // message fields Event is built from, at their wire widths, and the
@@ -277,16 +287,17 @@ func (s *Session) consumeSkip(m rf.Message) tracing.Outcome {
 	}
 }
 
-// attachMetrics equips the session with a latency histogram and a shared
-// dispatch-time histogram from the registry. Call before frames flow.
-func (s *Session) attachMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+// attachMetrics equips the session with the hub's shared dispatch-time
+// histogram and, when deviceClock is set, its own end-to-end latency
+// histogram. deviceClock reports whether the arrival stamps Consume
+// receives are on the device's clock (virtual-time delivery); a served
+// gateway stamps frames with its wall clock, where at - m.Timestamp()
+// is no latency at all. Call before the session is published.
+func (s *Session) attachMetrics(dispatch *telemetry.Histogram, deviceClock bool) {
+	if deviceClock {
+		s.lat = telemetry.NewLocalHistogram(telemetry.LatencyBucketsMs)
 	}
-	s.mu.Lock()
-	s.lat = telemetry.NewLocalHistogram(telemetry.LatencyBucketsMs)
-	s.dispatch = reg.Histogram(telemetry.MetricHubDispatch, telemetry.DispatchBucketsSec)
-	s.mu.Unlock()
+	s.dispatch = dispatch
 }
 
 // Latency returns a copy of the end-to-end latency histogram, or false
@@ -339,11 +350,6 @@ func (s *Session) OnSelect(fn func(Event)) {
 // OnLevel registers the level-change handler.
 func (s *Session) OnLevel(fn func(Event)) {
 	s.updateHandlers(func(h *sessionHandlers) { h.onLevel = fn })
-}
-
-// OnState registers the debug-state handler.
-func (s *Session) OnState(fn func(Event)) {
-	s.updateHandlers(func(h *sessionHandlers) { h.onState = fn })
 }
 
 // Tap registers an additional observer invoked for every decoded event,
@@ -488,16 +494,18 @@ func (s *Session) Consume(m rf.Message, at time.Duration) {
 	}
 
 	// Handlers run outside any lock so they may call back into the
-	// session (Stats, Events) without deadlocking. Dispatch time is only
-	// sampled when there is something to dispatch to, so the bare demux
-	// path never touches the wall clock.
+	// session (Stats, Events) without deadlocking. Dispatch time is
+	// sampled one frame in dispatchSampleEvery, and only when there is
+	// something to dispatch to, so the bare demux path and 63 of 64
+	// dispatched frames never touch the wall clock.
 	if handler == nil && len(taps) == 0 {
 		return
 	}
 	ev := rec.event()
-	dispatch := s.dispatch
+	var dispatch *telemetry.Histogram
 	var start time.Time
-	if dispatch != nil {
+	if m.Seq%dispatchSampleEvery == 0 && s.dispatch != nil {
+		dispatch = s.dispatch
 		start = time.Now()
 	}
 	for _, tap := range taps {

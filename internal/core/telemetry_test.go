@@ -196,3 +196,70 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchTimingSampled pins the dispatch-timing sample rate: with a
+// tap registered, seqs 0..1023 through one session time exactly the 16
+// frames whose seq is a multiple of 64, while the tap sees all 1024.
+func TestDispatchTimingSampled(t *testing.T) {
+	reg := telemetry.New()
+	hub := NewHubWithMetrics(false, reg)
+	tapped := 0
+	hub.Session(5).Tap(func(Event) { tapped++ })
+	for seq := uint16(0); seq < 1024; seq++ {
+		hub.Consume(rf.Message{Kind: rf.MsgScroll, Device: 5, Seq: seq, AtMillis: 10}, 12*time.Millisecond)
+	}
+	if tapped != 1024 {
+		t.Fatalf("tap saw %d frames, want 1024", tapped)
+	}
+	d, ok := reg.Snapshot().Histogram(telemetry.MetricHubDispatch)
+	if !ok || d.Count != 1024/dispatchSampleEvery {
+		t.Fatalf("%s count = %d (ok=%v), want %d", telemetry.MetricHubDispatch, d.Count, ok, 1024/dispatchSampleEvery)
+	}
+}
+
+// TestDetachedHubWithoutDeviceClock: a hub whose arrival stamps are not on
+// the devices' clock keeps counters and dispatch timing but builds no
+// latency histogram, so it records no hub_e2e_latency_ms however far the
+// stamps fall from the device time, and registering a session allocates
+// only the session itself.
+func TestDetachedHubWithoutDeviceClock(t *testing.T) {
+	reg := telemetry.New()
+	hub := NewHubDetached(false, reg, false)
+	reg.RegisterCollector(func(snap *telemetry.Snapshot) { hub.Collect(snap) })
+	hub.Session(1).Tap(func(Event) {})
+	// Stamps both before and after the device's 1 s.
+	for seq, at := range []time.Duration{0, 2 * time.Second, 500 * time.Millisecond, 90 * time.Second} {
+		hub.Consume(rf.Message{Kind: rf.MsgScroll, Device: 1, Seq: uint16(seq * 64), AtMillis: 1000}, at)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[telemetry.MetricHubDecoded]; got != 4 {
+		t.Fatalf("decoded = %d, want 4", got)
+	}
+	if h, ok := snap.Histogram(telemetry.MetricHubE2ELatency); ok {
+		t.Fatalf("hub without the device clock recorded %s: %+v", telemetry.MetricHubE2ELatency, h)
+	}
+	if _, ok := hub.Session(1).Latency(); ok {
+		t.Fatal("session without the device clock has a latency histogram")
+	}
+	if d, _ := snap.Histogram(telemetry.MetricHubDispatch); d.Count != 4 {
+		t.Fatalf("dispatch count = %d, want 4 (every seq here is a multiple of 64)", d.Count)
+	}
+
+	const n = 4096
+	perSession := func(deviceClock bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			h := NewHubDetached(false, reg, deviceClock)
+			for id := uint32(1); id <= n; id++ {
+				h.Session(id)
+			}
+		}) / n
+	}
+	// One object per session plus the amortised table and order growth;
+	// the latency histogram is two more.
+	if got := perSession(false); got > 1.1 {
+		t.Fatalf("registering a session without the device clock: %.2f allocs, want <= 1.1", got)
+	}
+	if got := perSession(true); got < 2.9 {
+		t.Fatalf("registering an instrumented session: %.2f allocs, want >= 2.9 (session + latency histogram)", got)
+	}
+}

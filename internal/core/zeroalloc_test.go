@@ -97,3 +97,26 @@ func TestCollectAllocsIndependentOfSessions(t *testing.T) {
 		t.Fatalf("collecting 10k sessions: %v allocs, want at most %d", large, 10*telemetry.MaxDeviceSeries)
 	}
 }
+
+// TestConsumeTappedZeroAlloc pins the instrumented dispatch path: with a
+// registry and a tap, Session.Consume builds the event, runs the tap,
+// records end-to-end latency and times one frame in 64, all without
+// allocating. The seqs run past several multiples of 64, so sampled
+// frames are inside the measurement.
+func TestConsumeTappedZeroAlloc(t *testing.T) {
+	hub := core.NewHubWithMetrics(false, telemetry.New())
+	s := hub.Session(3)
+	var tapped int
+	s.Tap(func(core.Event) { tapped++ })
+	m := rf.Message{Device: 3, Kind: rf.MsgScroll, AtMillis: 40, Index: 2}
+	at := 45 * time.Millisecond
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Consume(m, at)
+		m.Seq++
+	}); n != 0 {
+		t.Fatalf("Session.Consume with registry and tap: %v allocs/op, want 0", n)
+	}
+	if tapped == 0 {
+		t.Fatal("tap never ran")
+	}
+}

@@ -41,17 +41,19 @@ type Config struct {
 	// core.NewHub(true). Fleet runs need it for handler replay.
 	KeepLogs bool
 	// Registry, when non-nil, instruments the gateway: shard sessions
-	// record per-device counters and latency histograms, and the gateway
-	// registers ONE collector that folds every shard into the canonical
-	// hub_* series, adds per-shard breakdowns, and contributes the net_*
-	// ingest counters. Shards never register their own collectors — the
-	// hub_devices gauge must be the fleet total, not the last shard's.
+	// record per-device counters (and, except behind Serve, latency
+	// histograms), and the gateway registers ONE collector that folds
+	// every shard into the canonical hub_* series, adds per-shard
+	// breakdowns, and contributes the net_* ingest series. Shards never
+	// register their own collectors — the hub_devices gauge must be the
+	// fleet total, not the last shard's.
 	Registry *telemetry.Registry
 	// Now supplies ingest timestamps for frames arriving over TCP, where
 	// no virtual clock rides along with the bytes (default: wall time
-	// since the server started). Loopback ingest ignores it — the
-	// device's own virtual arrival time is passed through instead, which
-	// is what keeps loopback runs deterministic.
+	// since the server started). A pipelined served gateway also reads
+	// it, once per batch, to record net_ring_wait_ms. Loopback ingest
+	// ignores it — the device's own virtual arrival time is passed
+	// through instead, which is what keeps loopback runs deterministic.
 	Now func() time.Duration
 	// Pipeline enables the decode-route-consume ingest pipeline:
 	// connection goroutines still do batched reads and zero-alloc frame
@@ -127,13 +129,35 @@ type Gateway struct {
 	done        chan struct{}
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
+
+	// now is the clock a served gateway stamps ingest with (nil when the
+	// gateway is not served). The shard workers read it once per batch
+	// to measure ring wait on the same clock as the stamp.
+	now func() time.Duration
 }
 
-// shardWorker is the single-writer drain state for one shard: the worker
-// goroutine is the only toucher, so the fields need no synchronisation.
+// shardWorker is the drain state for one shard. The worker goroutine is
+// the only writer of every field; wait is also read by the collector,
+// under waitMu.
 type shardWorker struct {
 	at  time.Duration                   // current batch's arrival stamp
 	pre func(*core.Session, rf.Message) // trace-hop hook, built once
+
+	// wait is the shard's net_ring_wait_ms histogram: each frame's time
+	// from its batch's ingest stamp to the start of the batch's consume.
+	// Nil unless the gateway is served, pipelined and instrumented.
+	waitMu sync.Mutex
+	wait   *telemetry.LocalHistogram
+}
+
+// observeWait records one batch's ring wait for each of its n frames:
+// one lock and one bucket walk per batch. A negative wait counts as 0:
+// time.Since is monotonic, but an injected Config.Now need not be.
+func (ws *shardWorker) observeWait(wait time.Duration, n int) {
+	const perMs = 1.0 / float64(time.Millisecond)
+	ws.waitMu.Lock()
+	ws.wait.ObserveN(float64(max(wait, 0))*perMs, uint64(n))
+	ws.waitMu.Unlock()
 }
 
 // NetStats is the gateway's network-edge accounting.
@@ -169,15 +193,23 @@ type NetStats struct {
 // NewGateway builds the shard array. With cfg.Registry set it registers
 // the aggregating collector. With cfg.Pipeline set it also builds the
 // per-shard rings and starts one worker goroutine per shard; a pipelined
-// gateway must be Closed to stop them.
-func NewGateway(cfg Config) *Gateway {
+// gateway must be Closed to stop them. Its sessions record
+// hub_e2e_latency_ms, so the arrival stamps given to Consume must be on
+// the devices' clock, as Loopback's are.
+func NewGateway(cfg Config) *Gateway { return newGateway(cfg, nil) }
+
+// newGateway builds a gateway. A non-nil now marks it served: frames are
+// stamped on now, the server's clock, so sessions record no end-to-end
+// latency (now minus the device's virtual time mixes two clocks) and the
+// pipelined shard workers record net_ring_wait_ms on now instead.
+func newGateway(cfg Config, now func() time.Duration) *Gateway {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	g := &Gateway{keepLogs: cfg.KeepLogs, reg: cfg.Registry}
+	g := &Gateway{keepLogs: cfg.KeepLogs, reg: cfg.Registry, now: now}
 	g.shards = make([]*core.Hub, cfg.Shards)
 	for i := range g.shards {
-		g.shards[i] = core.NewHubDetached(cfg.KeepLogs, cfg.Registry)
+		g.shards[i] = core.NewHubDetached(cfg.KeepLogs, cfg.Registry, now == nil)
 	}
 	g.shardFrames = make([]atomic.Uint64, cfg.Shards)
 	if cfg.Registry != nil {
@@ -191,10 +223,6 @@ func NewGateway(cfg Config) *Gateway {
 
 // Shards returns the shard count.
 func (g *Gateway) Shards() int { return len(g.shards) }
-
-// Shard returns the i-th hub shard (tests and scrapers only; ingest
-// paths go through Consume so routing stays in one place).
-func (g *Gateway) Shard(i int) *core.Hub { return g.shards[i] }
 
 // ShardFor returns the shard index a device id routes to.
 func (g *Gateway) ShardFor(id uint32) int { return int(id % uint32(len(g.shards))) }
@@ -317,6 +345,15 @@ func (g *Gateway) collect(snap *telemetry.Snapshot) {
 			drops += r.drops.Load()
 			snap.SetGauge(telemetry.ShardName(telemetry.MetricNetRingDepth, i), float64(r.depth()))
 			snap.AddCounter(telemetry.ShardName(telemetry.MetricNetRingBatches, i), r.batches.Load())
+		}
+		for i := range g.workers {
+			ws := &g.workers[i]
+			if ws.wait == nil {
+				continue
+			}
+			ws.waitMu.Lock()
+			snap.MergeHistogram(telemetry.MetricNetRingWait, ws.wait.Snapshot())
+			ws.waitMu.Unlock()
 		}
 		snap.SetGauge(telemetry.MetricNetRingDepth, float64(depth))
 		snap.AddCounter(telemetry.MetricNetRingBatches, batches)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/rf"
+	"github.com/hcilab/distscroll/internal/telemetry"
 	"github.com/hcilab/distscroll/internal/tracing"
 )
 
@@ -50,6 +51,9 @@ func (g *Gateway) startPipeline(cfg Config) {
 				rec.Record(tracing.HopNetIngest, m.Seq, ws.at, m.AtMillis, tracing.PackNetIngest(sh, true))
 			}
 		}
+		if g.now != nil && cfg.Registry != nil {
+			ws.wait = telemetry.NewLocalHistogram(telemetry.RingWaitBucketsMs)
+		}
 		g.wg.Add(1)
 		go g.shardWorkerLoop(sh)
 	}
@@ -90,9 +94,14 @@ func (g *Gateway) shardWorkerLoop(sh int) {
 // shares one arrival stamp (its frames were decoded from one read
 // chunk), the routing table is loaded once per batch, and the shard
 // frame tally advances once per batch from the worker's local counter.
+// On a served gateway the worker reads the ingest clock once per batch
+// and records the batch's ring wait for every frame in it.
 func (g *Gateway) consumeSlot(sh int, slot *ringSlot) {
 	ws := &g.workers[sh]
 	ws.at = slot.at
+	if ws.wait != nil {
+		ws.observeWait(g.now()-slot.at, slot.n)
+	}
 	g.shards[sh].ConsumeBatch(slot.msgs[:slot.n], slot.at, ws.pre)
 	g.shardFrames[sh].Add(uint64(slot.n))
 }

@@ -16,10 +16,8 @@ import (
 // batched reads through bufio amortise syscalls so a 100k-device scale
 // run can funnel its frames through a handful of sockets.
 type Server struct {
-	gw    *Gateway
-	ln    net.Listener
-	now   func() time.Duration
-	start time.Time
+	gw *Gateway
+	ln net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -63,16 +61,22 @@ func Serve(addr string, cfg Config) (*Server, error) {
 // ServeListener serves a fresh gateway on an already-bound listener —
 // the injection point for tests that wrap a listener in fault models
 // (transient Accept errors) the kernel won't produce on demand.
+//
+// A served gateway keeps every number on one clock. Frames are stamped
+// on cfg.Now (default: wall time since the server started), which shares
+// nothing with the devices' virtual time, so its sessions record no
+// hub_e2e_latency_ms; a pipelined, instrumented gateway records
+// net_ring_wait_ms on that same clock instead.
 func ServeListener(ln net.Listener, cfg Config) *Server {
+	now := cfg.Now
+	if now == nil {
+		start := time.Now()
+		now = func() time.Duration { return time.Since(start) }
+	}
 	s := &Server{
-		gw:    NewGateway(cfg),
+		gw:    newGateway(cfg, now),
 		ln:    ln,
 		conns: make(map[net.Conn]struct{}),
-		start: time.Now(),
-	}
-	s.now = cfg.Now
-	if s.now == nil {
-		s.now = func() time.Duration { return time.Since(s.start) }
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -140,7 +144,7 @@ func (s *Server) serveConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	in := s.gw.NewIngest(s.now)
+	in := s.gw.NewIngest(s.gw.now)
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(c)
 	defer readerPool.Put(br)

@@ -201,8 +201,11 @@ const dashHTML = `<!DOCTYPE html>
     if (tps !== null) tiles += tile("ticks/s", fmt(tps));
     var dec = lastOf(res, "hub_frames_decoded_total");
     if (dec !== null) tiles += tile("decoded/s", fmt(dec));
-    var lat = res.series["hub_e2e_latency_ms"];
-    if (lat && lat.p99 && lat.p99.length) tiles += tile("e2e p99", fmt(lat.p99[lat.p99.length - 1]) + " ms");
+    // A served gateway records no e2e latency; its p99 tile (and its SLO
+    // rule) read the ring wait instead.
+    var lat = res.series["hub_e2e_latency_ms"], latName = "e2e p99";
+    if (!lat) { lat = res.series["net_ring_wait_ms"]; latName = "ring wait p99"; }
+    if (lat && lat.p99 && lat.p99.length) tiles += tile(latName, fmt(lat.p99[lat.p99.length - 1]) + " ms");
     var nb = (res.breaches || []).length;
     tiles += tile("breaches", String(nb), nb ? "bad" : "");
     document.getElementById("tiles").innerHTML = tiles;

@@ -104,7 +104,7 @@ func TestHandlerDash(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/dash status %d", code)
 	}
-	for _, want := range []string{"<!DOCTYPE html>", "<svg", "/api/history", "<style>", "<script>"} {
+	for _, want := range []string{"<!DOCTYPE html>", "<svg", "/api/history", "<style>", "<script>", "net_ring_wait_ms"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/dash missing %q", want)
 		}

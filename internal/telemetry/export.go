@@ -70,15 +70,22 @@ const (
 
 	// MetricHubE2ELatency is the end-to-end pipeline latency histogram
 	// (firmware sample tick → hub handler dispatch) in milliseconds, folded
-	// over every session. Per-device series carry a {device="N"} label
-	// suffix and exist for at most MaxDeviceSeries sessions per snapshot
-	// (see Snapshot.AddDeviceLatency).
+	// over every session. It is recorded only where both ends share a
+	// clock: the in-process hub and host and the loopback gateway, which
+	// deliver frames at the device's virtual time. A TCP-served gateway
+	// stamps frames on its own clock and records MetricNetRingWait
+	// instead. Per-device series carry a {device="N"} label suffix and
+	// exist for at most MaxDeviceSeries sessions per snapshot (see
+	// Snapshot.AddDeviceLatency).
 	MetricHubE2ELatency = "hub_e2e_latency_ms"
 	// MetricDeviceSeriesRefused counts the sessions whose per-device
 	// latency series a snapshot left out because the budget was spent.
 	MetricDeviceSeriesRefused = "telemetry_device_series_refused"
-	// MetricHubDispatch is the wall-clock handler dispatch time in seconds
-	// (only observed when handlers or taps are registered).
+	// MetricHubDispatch is the wall-clock handler and tap dispatch time in
+	// seconds. It is a sample: a session times one frame in 64 (those
+	// whose sequence number is a multiple of 64), and only when handlers
+	// or taps are registered, so its count is about 1/64 of the
+	// dispatched frames.
 	MetricHubDispatch = "hub_dispatch_seconds"
 
 	// Simulation-engine gauges for the struct-of-arrays scale path
@@ -118,6 +125,13 @@ const (
 	MetricNetRingStalls    = "net_ring_stalls_total"
 	MetricNetRingDropped   = "net_ring_dropped_total"
 	MetricNetAcceptRetries = "net_accept_retries_total"
+	// MetricNetRingWait is the served gateway's ring wait in milliseconds:
+	// for every consumed frame, the time from its batch's ingest stamp to
+	// the start of the batch's consume, both read on the server's clock.
+	// Each shard worker reads the clock once per batch and records the
+	// wait for every frame in it; the collector folds the shards into one
+	// series. Only a TCP-served, pipelined gateway records it.
+	MetricNetRingWait = "net_ring_wait_ms"
 )
 
 // LatencyBucketsMs are the default end-to-end latency bucket bounds in
@@ -125,6 +139,13 @@ const (
 // and 19.2 kbit/s serialisation through retransmission-scale tails.
 var LatencyBucketsMs = []float64{
 	1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 65, 80, 100, 150, 250, 500, 1000,
+}
+
+// RingWaitBucketsMs are the ring-wait bucket bounds in milliseconds: a
+// batch that finds its shard worker idle waits microseconds, one queued
+// behind a full ring waits milliseconds.
+var RingWaitBucketsMs = []float64{
+	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000,
 }
 
 // DispatchBucketsSec are the default handler dispatch bucket bounds in

@@ -35,7 +35,6 @@ var testOnlySurface = map[string]string{
 	"buttons.Pad.Pressed":               "accessor",
 	"buttons.Pad.SetDebounce":           "accessor",
 	"context.DecodeContext":             "codec",
-	"core.Session.OnState":              "debt",
 	"display.Display.Contrast":          "accessor",
 	"display.Display.Inverted":          "accessor",
 	"display.Display.Line":              "accessor",
@@ -55,7 +54,6 @@ var testOnlySurface = map[string]string{
 	"hand.Hand.Teleport":                "accessor",
 	"hand.MinJerk.PeakVelocity":         "accessor",
 	"history.Store.SeriesNames":         "debt",
-	"hubnet.Gateway.Shard":              "debt",
 	"menu.Chunked.Page":                 "accessor",
 	"menu.Menu.ResetToRoot":             "accessor",
 	"menu.Menu.Root":                    "accessor",
