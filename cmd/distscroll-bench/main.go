@@ -305,7 +305,6 @@ type opsOpts struct {
 	p99          float64
 	minFPS       float64
 	stall        time.Duration
-	interval     time.Duration
 	history      bool
 	histWindows  int
 	histInterval time.Duration
@@ -322,9 +321,8 @@ func (o *opsOpts) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.p99, "slo-p99", 0, "SLO watchdog: breach when the windowed e2e latency p99 exceeds this many milliseconds (0 = off)")
 	fs.Float64Var(&o.minFPS, "slo-min-fps", 0, "SLO watchdog: breach when decoded frames per second drop below this floor (0 = off)")
 	fs.DurationVar(&o.stall, "slo-stall", 0, "SLO watchdog: breach when the run's progress clock stops advancing for this long (0 = off)")
-	fs.DurationVar(&o.interval, "slo-interval", time.Second, "SLO watchdog evaluation interval")
 	fs.IntVar(&o.histWindows, "history-windows", history.DefaultWindows, "retain a rolling telemetry history of this many sampling windows; served at /api/history and the /dash dashboard with -ops-listen, attached to SLO breaches as pre/post forensics")
-	fs.DurationVar(&o.histInterval, "history-interval", time.Second, "telemetry history sampling interval")
+	fs.DurationVar(&o.histInterval, "history-interval", time.Second, "telemetry history sampling interval; the SLO watchdog evaluates every window")
 	fs.StringVar(&o.histOut, "history-out", "", "write the retained telemetry history as JSON to this file when the run ends")
 }
 
@@ -339,8 +337,6 @@ func (o *opsOpts) check(fs *flag.FlagSet) error {
 	switch {
 	case o.p99 < 0 || o.minFPS < 0 || o.stall < 0:
 		return fmt.Errorf("-slo-p99, -slo-min-fps and -slo-stall must not be negative (0 = off)")
-	case o.interval <= 0:
-		return fmt.Errorf("-slo-interval must be positive, got %v", o.interval)
 	case o.histWindows < 1:
 		return fmt.Errorf("-history-windows must be at least 1, got %d", o.histWindows)
 	case o.histInterval <= 0:
@@ -349,9 +345,14 @@ func (o *opsOpts) check(fs *flag.FlagSet) error {
 	return nil
 }
 
+// sloRules reports whether any SLO watchdog rule was requested.
+func (o opsOpts) sloRules() bool {
+	return o.p99 > 0 || o.minFPS > 0 || o.stall > 0
+}
+
 // enabled reports whether any ops-plane feature was requested.
 func (o opsOpts) enabled() bool {
-	return o.listen != "" || o.p99 > 0 || o.minFPS > 0 || o.stall > 0 || o.history
+	return o.listen != "" || o.sloRules() || o.history
 }
 
 // opsPlane bundles the running server, watchdog and history sampler of one
@@ -364,14 +365,15 @@ type opsPlane struct {
 }
 
 // startOpsPlane starts the history sampler, the watchdog and (if
-// requested) the HTTP server. stallClock names the series whose
+// requested) the HTTP server. An -slo-* rule implies the history sampler:
+// the watchdog evaluates its windows. stallClock names the series whose
 // advancement proves the run is alive: sim_virtual_seconds on the scale
 // path, hub_frames_decoded_total for the session fleet. lookup, when not
 // nil, serves the /api/device drill-down.
 func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, stallClock string,
 	lookup func(uint32) (*core.Session, bool), stdout io.Writer) (*opsPlane, error) {
 	var hist *history.Store
-	if o.history {
+	if o.history || o.sloRules() {
 		var err error
 		hist, err = history.Start(history.Config{
 			Registry: reg,
@@ -384,22 +386,20 @@ func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, s
 		fmt.Fprintf(stdout, "history: sampling telemetry every %v, retaining %d windows\n",
 			hist.Interval(), hist.Windows())
 	}
-	if hist != nil && tracer == nil && (o.p99 > 0 || o.minFPS > 0 || o.stall > 0) {
+	if tracer == nil && o.sloRules() {
 		// Breach forensics dump through a flight recorder; a run without
 		// its own tracer gets a small bounded one so the pre/post table
 		// still lands on stderr.
 		tracer = tracing.New(tracing.Config{Bounded: true, Capacity: 64, DumpTo: os.Stderr})
 	}
 	wd := ops.StartWatchdog(ops.WatchdogConfig{
-		Registry:        reg,
-		Interval:        o.interval,
+		History:         hist,
 		LatencyMetric:   o.latencyMetric,
 		LatencyMaxP99Ms: o.p99,
 		StallGauge:      stallClock,
 		StallAfter:      o.stall,
 		MinRate:         minRateRules(o.minFPS),
 		Tracer:          tracer,
-		History:         hist,
 		OnBreach: func(b ops.Breach) {
 			fmt.Fprintf(os.Stderr, "slo watchdog: %s\n", b)
 		},
@@ -433,17 +433,14 @@ func minRateRules(minFPS float64) map[string]float64 {
 }
 
 // close stops the watchdog before the server so /healthz never serves a
-// half-stopped state, flushes the history store, and reports the verdict.
+// half-stopped state, stops the history store (which records one final
+// window, so the end-of-run counters make the history, and flushes
+// pending breach forensics), and reports the verdict.
 func (p *opsPlane) close(report io.Writer) {
 	if p == nil {
 		return
 	}
 	p.wd.Stop()
-	if p.hist != nil {
-		// One final sample so the end-of-run counters make the history,
-		// then stop (which also flushes pending breach forensics).
-		p.hist.Sample()
-	}
 	p.hist.Stop()
 	p.srv.Close()
 	if breaches := p.wd.Breaches(); len(breaches) > 0 {

@@ -97,8 +97,8 @@ func TestFlagComboValidation(t *testing.T) {
 		{[]string{"fleet", "-devices", "2", "-burst", "0.3", "-burst-len", "-3"}, "-burst-len must not be negative"},
 		{[]string{"scale", "-devices", "100", "-slo-stall", "-1s"}, "-slo-stall must not be negative"},
 		{[]string{"fleet", "-devices", "2", "-slo-p99", "-5"}, "-slo-p99, -slo-min-fps and -slo-stall must not be negative"},
-		{[]string{"scale", "-devices", "100", "-slo-stall", "5s", "-slo-interval", "0"}, "-slo-interval must be positive"},
-		{[]string{"serve", "-listen", "127.0.0.1:0", "-slo-interval", "-1s"}, "-slo-interval must be positive"},
+		{[]string{"scale", "-devices", "100", "-slo-stall", "5s", "-slo-interval", "0"}, "flag provided but not defined: -slo-interval"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-slo-interval", "-1s"}, "flag provided but not defined: -slo-interval"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -107,21 +106,6 @@ func (s *Store) WriteJSON(w io.Writer, q Query) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s.Query(q))
-}
-
-// SeriesNames reports the retained series names, sorted.
-func (s *Store) SeriesNames() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	names := make([]string, 0, len(s.series))
-	for name := range s.series {
-		names = append(names, name)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // rangeLocked resolves a lastK request into global window indices

@@ -24,14 +24,12 @@ type Loopback struct {
 	devs sync.Map // uint32 → *loopIngest
 }
 
-// loopIngest is one device's private encode/decode scratch. Frames from
-// a single device arrive in order on that device's goroutine, so the
-// state needs no lock.
+// loopIngest is one device's private stream: its encode scratch and the
+// direct gateway's per-stream decode. Frames from a single device arrive
+// in order on that device's goroutine, so the state needs no lock.
 type loopIngest struct {
-	enc       []byte
-	dec       *rf.Decoder
-	at        time.Duration
-	onPayload func([]byte)
+	enc []byte
+	in  *Ingest
 }
 
 // NewLoopback builds a gateway and wires the loopback ingest onto it.
@@ -54,20 +52,11 @@ func (l *Loopback) ingest(id uint32) *loopIngest {
 	if v, ok := l.devs.Load(id); ok {
 		return v.(*loopIngest)
 	}
-	in := &loopIngest{dec: rf.NewDecoder()}
-	in.onPayload = func(p []byte) {
-		l.gw.frames.Add(1)
-		var m rf.Message
-		if !m.Decode(p) {
-			l.gw.badFrames.Add(1)
-			return
-		}
-		l.gw.Consume(m, in.at)
-	}
-	if v, loaded := l.devs.LoadOrStore(id, in); loaded {
+	li := &loopIngest{in: l.gw.NewIngest(nil)}
+	if v, loaded := l.devs.LoadOrStore(id, li); loaded {
 		return v.(*loopIngest)
 	}
-	return in
+	return li
 }
 
 // Handle is the rf link sink: it frames the payload, runs it through the
@@ -78,18 +67,20 @@ func (l *Loopback) ingest(id uint32) *loopIngest {
 // conventional id-0 stream, where its decode failure is counted exactly
 // as the in-process hub would have.
 func (l *Loopback) Handle(payload []byte, at time.Duration) {
-	in := l.ingest(rf.PayloadDevice(payload))
-	frame, err := rf.AppendEncode(in.enc[:0], payload)
+	li := l.ingest(rf.PayloadDevice(payload))
+	frame, err := rf.AppendEncode(li.enc[:0], payload)
 	if err != nil {
 		// Oversized payloads cannot cross the wire at all; account the
 		// loss the same way an undecodable payload is accounted.
 		l.gw.badFrames.Add(1)
 		return
 	}
-	in.enc = frame[:0]
+	li.enc = frame[:0]
 	l.gw.bytesRead.Add(uint64(len(frame)))
-	in.at = at
-	in.dec.FeedFunc(frame, in.onPayload)
+	// Feed stamps and accounts per socket read; a loopback frame carries
+	// the device's virtual arrival time and is decoded directly.
+	li.in.at = at
+	li.in.dec.FeedFunc(frame, li.in.onPayload)
 }
 
 // Session returns the session a device id routes to (pre-registration).

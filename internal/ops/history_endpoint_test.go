@@ -2,6 +2,7 @@ package ops
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -148,11 +149,10 @@ func TestHealthzBreachJSON(t *testing.T) {
 	}
 }
 
-// TestWatchdogBreachForensics drives the full tentpole pipeline by hand:
-// a min-rate breach marks the history timeline, the post-breach tail
+// TestWatchdogBreachForensics drives the full pipeline by hand: a
+// min-rate breach marks the history timeline, the post-breach tail
 // completes, the capture lands on the Breach record, and the flight
-// recorder dumps the pre/post table through the dedicated forensics
-// recorder.
+// recorder dumps the pre/post table through the watchdog's recorder.
 func TestWatchdogBreachForensics(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter(telemetry.MetricHubDecoded)
@@ -161,23 +161,14 @@ func TestWatchdogBreachForensics(t *testing.T) {
 	var dump strings.Builder
 	tracer := tracing.New(tracing.Config{Capacity: 64, Bounded: true, DumpTo: &dump})
 	st := newHistStore(t, reg)
-	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry:          reg,
-		Interval:          time.Second,
+	w := startOn(t, st, WatchdogConfig{
 		MinRate:           map[string]float64{telemetry.MetricHubDecoded: 1000},
-		Now:               clk.now,
 		Tracer:            tracer,
-		History:           st,
 		PostBreachWindows: 2,
 	})
-	if w == nil {
-		t.Fatal("watchdog not built")
-	}
 
 	st.Sample() // pre-breach history
-	clk.advance(time.Second)
-	w.step() // counter did not move fast enough: min-rate breach
+	st.Sample() // counter did not move fast enough: min-rate breach
 
 	bs := w.Breaches()
 	if len(bs) != 1 || bs[0].Rule != "min-rate" {
@@ -190,8 +181,11 @@ func TestWatchdogBreachForensics(t *testing.T) {
 		t.Fatalf("breach window %g, want 1", bs[0].WindowSeconds)
 	}
 
-	st.Sample()
-	st.Sample() // tail complete: forensics fire on the sampler's goroutine
+	// The pipeline recovers: the tail windows are healthy.
+	for i := 0; i < 2; i++ {
+		c.Add(1000)
+		st.Sample() // the second completes the tail: forensics fire
+	}
 
 	bs = w.Breaches()
 	if bs[0].History == nil {
@@ -202,16 +196,23 @@ func TestWatchdogBreachForensics(t *testing.T) {
 	}
 
 	out := dump.String()
-	for _, want := range []string{"FLIGHT RECORDER", "slo-watchdog", "slo-forensics", "pre/post-breach history", "<- breach"} {
+	for _, want := range []string{"FLIGHT RECORDER", "slo-watchdog", "pre/post-breach history", "<- breach"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
 	}
+	if got := len(tracer.Recorders()); got != 1 {
+		t.Fatalf("watchdog made %d recorders, want its one", got)
+	}
 
-	// The marker is on the query timeline for the dashboard.
+	// The marker is on the query timeline for the dashboard and on the
+	// table row of the window whose rate breached (window 1).
 	res := st.Query(history.Query{})
-	if len(res.Breaches) != 1 || res.Breaches[0].Rule != "min-rate" {
+	if len(res.Breaches) != 1 || res.Breaches[0].Rule != "min-rate" || res.Breaches[0].Window != 1 {
 		t.Fatalf("history breach markers %+v", res.Breaches)
+	}
+	if !strings.Contains(out, fmt.Sprintf(">%8d ", 1)) {
+		t.Fatalf("table does not mark window 1 as the breach:\n%s", out)
 	}
 }
 
@@ -222,18 +223,12 @@ func TestWatchdogForensicsFlushOnStop(t *testing.T) {
 	var dump strings.Builder
 	tracer := tracing.New(tracing.Config{Capacity: 64, Bounded: true, DumpTo: &dump})
 	st := newHistStore(t, reg)
-	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry: reg,
-		Interval: time.Second,
-		MinRate:  map[string]float64{telemetry.MetricHubDecoded: 1000},
-		Now:      clk.now,
-		Tracer:   tracer,
-		History:  st,
+	w := startOn(t, st, WatchdogConfig{
+		MinRate: map[string]float64{telemetry.MetricHubDecoded: 1000},
+		Tracer:  tracer,
 	})
 	st.Sample()
-	clk.advance(time.Second)
-	w.step()
+	st.Sample()
 	st.Stop() // run over before the tail: capture flushes now
 	if bs := w.Breaches(); len(bs) == 0 || bs[0].History == nil {
 		t.Fatal("Stop did not flush the pending forensics capture")

@@ -57,10 +57,9 @@ type Config struct {
 
 // Server is a running ops HTTP server.
 type Server struct {
-	ln   net.Listener
-	srv  *http.Server
-	wd   atomic.Pointer[Watchdog]
-	hist atomic.Pointer[history.Store]
+	ln  net.Listener
+	srv *http.Server
+	wd  atomic.Pointer[Watchdog]
 
 	// Close is idempotent: concurrent and repeated closes collapse to
 	// one srv.Close, every caller seeing its error.
@@ -80,15 +79,11 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	if cfg.Watchdog != nil {
 		s.wd.Store(cfg.Watchdog)
 	}
-	if cfg.History != nil {
-		s.hist.Store(cfg.History)
-	}
 	s.srv = &http.Server{
-		// /healthz and /api/history read their sources through the server
-		// so SetWatchdog/SetHistory can attach them after the listener is
-		// already up (a fleet binds its port at construction, its watchdog
-		// at run start).
-		Handler:           withDevice(handler(cfg.Registry, s.wd.Load, s.hist.Load), cfg.Lookup),
+		// /healthz reads its watchdog through the server so SetWatchdog
+		// can attach it after the listener is already up (a fleet binds
+		// its port at construction, its watchdog at run start).
+		Handler:           withDevice(handler(cfg.Registry, s.wd.Load, cfg.History), cfg.Lookup),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
@@ -102,15 +97,6 @@ func (s *Server) SetWatchdog(w *Watchdog) {
 		return
 	}
 	s.wd.Store(w)
-}
-
-// SetHistory points /api/history and /dash at st (nil detaches). Safe
-// while serving and safe on nil.
-func (s *Server) SetHistory(st *history.Store) {
-	if s == nil {
-		return
-	}
-	s.hist.Store(st)
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -144,8 +130,7 @@ func (s *Server) Close() error {
 // and embedding entry point.
 func Handler(cfg Config) http.Handler {
 	return withDevice(handler(cfg.Registry,
-		func() *Watchdog { return cfg.Watchdog },
-		func() *history.Store { return cfg.History }), cfg.Lookup)
+		func() *Watchdog { return cfg.Watchdog }, cfg.History), cfg.Lookup)
 }
 
 // healthzBody is the /healthz 503 JSON schema.
@@ -194,9 +179,10 @@ func withDevice(mux *http.ServeMux, lookup func(uint32) (*core.Session, bool)) h
 	return mux
 }
 
-// handler is the mux over a registry plus watchdog and history accessors
-// (read per request, so a served fleet can attach them late).
-func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *history.Store) *http.ServeMux {
+// handler is the mux over a registry, a watchdog accessor (read per
+// request, so a served fleet can attach its watchdog late) and a history
+// store (nil serves 404).
+func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist *history.Store) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -241,8 +227,7 @@ func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *hi
 		enc.Encode(healthzBody{Status: "slo breach", Breaches: wd.Breaches()}) //nolint:errcheck
 	})
 	mux.HandleFunc("/api/history", func(w http.ResponseWriter, r *http.Request) {
-		st := hist()
-		if st == nil {
+		if hist == nil {
 			http.Error(w, "history disabled (enable WithHistory / -history-windows)", http.StatusNotFound)
 			return
 		}
@@ -262,10 +247,10 @@ func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *hi
 			q.Prefixes = strings.Split(v, ",")
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		st.WriteJSON(w, q) //nolint:errcheck // client went away
+		hist.WriteJSON(w, q) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/dash", func(w http.ResponseWriter, _ *http.Request) {
-		if hist() == nil {
+		if hist == nil {
 			http.Error(w, "history disabled (enable WithHistory / -history-windows)", http.StatusNotFound)
 			return
 		}

@@ -138,9 +138,8 @@ func TestServeBadAddr(t *testing.T) {
 func TestWatchdogFlipsHealthz(t *testing.T) {
 	reg := telemetry.New()
 	w := StartWatchdog(WatchdogConfig{
-		Registry: reg,
-		Interval: 5 * time.Millisecond,
-		MinRate:  map[string]float64{telemetry.MetricHubEvents: 1000},
+		History: startStore(t, reg, 5*time.Millisecond),
+		MinRate: map[string]float64{telemetry.MetricHubEvents: 1000},
 	})
 	defer w.Stop()
 	h := Handler(Config{Registry: reg, Watchdog: w})

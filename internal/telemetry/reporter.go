@@ -6,7 +6,10 @@ import (
 )
 
 // Reporter periodically snapshots a registry and hands the snapshot to an
-// emit callback — the always-on fleet telemetry feed. It runs on wall
+// emit callback. It is the process's one telemetry ticker loop: the
+// fleet's raw snapshot feed (fleet.Config.ReportEvery) and the history
+// store's sampler both run on it, and the SLO watchdog evaluates the
+// history store's windows rather than ticking on its own. It runs on wall
 // clock (the fleet's virtual clocks are per-device and unordered across
 // the fleet), so it reports real observation moments of a concurrent run.
 type Reporter struct {

@@ -1,6 +1,7 @@
 package distscroll_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	distscroll "github.com/hcilab/distscroll"
+	"github.com/hcilab/distscroll/internal/history"
 )
 
 // get fetches an ops endpoint and returns status and body.
@@ -156,5 +158,45 @@ func TestFleetWatchdogWithoutServer(t *testing.T) {
 	}
 	if err := f.CloseOps(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetWatchdogImpliedHistoryStops: WithSLOWatchdog without WithHistory
+// runs a history sampler at its defaults (the watchdog evaluates its
+// windows), and CloseOps stops it: the sampler records its last window at
+// close, then captures nothing more.
+func TestFleetWatchdogImpliedHistoryStops(t *testing.T) {
+	f, err := distscroll.NewFleet(2,
+		distscroll.WithEntries(10),
+		distscroll.WithSeed(1),
+		distscroll.WithSLOWatchdog(distscroll.SLO{StallAfter: time.Hour}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CloseOps(); err != nil {
+		t.Fatal(err)
+	}
+	captured := func() uint64 {
+		var buf bytes.Buffer
+		if err := f.WriteHistory(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		var doc historyDoc
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("WriteHistory not JSON: %v", err)
+		}
+		return doc.Count
+	}
+	closed := captured()
+	if closed == 0 {
+		t.Fatal("implied history sampler recorded no window at close")
+	}
+	time.Sleep(history.DefaultInterval + 200*time.Millisecond)
+	if got := captured(); got != closed {
+		t.Fatalf("sampler still running after CloseOps: %d -> %d windows", closed, got)
 	}
 }

@@ -53,12 +53,10 @@ var testOnlySurface = map[string]string{
 	"gp2d120.Sensor.SetSurface":         "accessor",
 	"hand.Hand.Teleport":                "accessor",
 	"hand.MinJerk.PeakVelocity":         "accessor",
-	"history.Store.SeriesNames":         "debt",
 	"menu.Chunked.Page":                 "accessor",
 	"menu.Menu.ResetToRoot":             "accessor",
 	"menu.Menu.Root":                    "accessor",
 	"menu.Menu.Selections":              "accessor",
-	"ops.Server.SetHistory":             "debt",
 	"pda.PDA.Activated":                 "accessor",
 	"pda.PDA.NoSignal":                  "accessor",
 	"pda.PDA.Records":                   "accessor",
